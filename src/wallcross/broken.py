@@ -22,12 +22,13 @@ from .errors import (
     EndpointOutsideFamily,
     InadmissibleType,
     NonGenericEndpoint,
+    NotAdjacent,
     UnsupportedDimension,
     WallError,
     WrongSideCrossing,
 )
 from .geometry import GenericPointSampler, PointInChart
-from .linalg import solve as _solve
+from .linalg import mat_vec, solve as _solve
 from .ring import RingElement, Truncation
 from .tropical import Edge, Leg, TropicalType, Vertex
 from .walls import (
@@ -50,18 +51,7 @@ def _dot(a, b):
 
 def _log_terms(f: RingElement):
     """Terms of log f for unipotent f, as (class, exponent, coeff) triples."""
-    one = RingElement.one(f.cone, f.trunc, f.n)
-    g = f.sub(one)
-    acc = RingElement.zero(f.cone, f.trunc, f.n)
-    power = one
-    k = 1
-    while True:
-        power = power.mul(g)
-        if power.is_zero():
-            break
-        acc = acc.add(power.scale(Fraction((-1) ** (k + 1), k)))
-        k += 1
-    return [(A, m, c) for (A, m), c in acc.sorted_terms()]
+    return [(A, m, c) for (A, m), c in ring.log_unipotent(f).sorted_terms()]
 
 
 # -- domain types ------------------------------------------------------------
@@ -231,18 +221,23 @@ def _adjacent_charts(cx, chart):
     return out
 
 
+def _wall_in_chart(s: WallStructure, i: int, chart) -> RingElement:
+    """The function of wall i, transported into ``chart``."""
+    w = s.walls[i]
+    return s.complex.transport_element(w.function, w.cone, chart,
+                                       group_level=True)
+
+
+def _wall_logs(s: WallStructure, i: int, chart):
+    """Log terms of the function of wall i, in ``chart``."""
+    return _log_terms(_wall_in_chart(s, i, chart))
+
+
 def _wall_logs_in_chart(s: WallStructure, chart):
     """(wall index, log terms transported to the chart) for visible walls."""
-    cx = s.complex
-    out = []
-    for i, w in enumerate(s.walls):
-        if w.cone == chart:
-            out.append((i, _log_terms(w.function)))
-        elif w.rho is not None and set(w.rho) <= set(chart):
-            f = cx.transport_element(w.function, w.cone, chart,
-                                     group_level=True)
-            out.append((i, _log_terms(f)))
-    return out
+    return [(i, _wall_logs(s, i, chart)) for i, w in enumerate(s.walls)
+            if w.cone == chart
+            or (w.rho is not None and set(w.rho) <= set(chart))]
 
 
 def _candidate_monomials(s: WallStructure, p_cone, p):
@@ -268,12 +263,10 @@ def _candidate_monomials(s: WallStructure, p_cone, p):
         for rho, chart2 in _adjacent_charts(cx, chart):
             matrix, kink = cx.chart_transition(chart, chart2)
             pos = chart.index(next(d for d in chart if d not in rho))
-            m2 = tuple(sum(matrix[i][j] * m[j] for j in range(cx.n))
-                       for i in range(cx.n))
             A2 = tuple(a + m[pos] * k for a, k in zip(A, kink))
             if any(a < 0 for a in A2) or trunc.in_ideal(A2):
                 continue
-            state = (chart2, A2, m2)
+            state = (chart2, A2, mat_vec(matrix, m))
             if state not in seen:
                 seen.add(state)
                 frontier.append(state)
@@ -285,7 +278,7 @@ def genericity_hyperplanes(s: WallStructure, chart, candidates):
     hps = set()
     for w in s.walls:
         if w.cone == chart:
-            hps.add(primitive(w.span_normal()))
+            hps.add(w.span_normal())
     for ch, _A, m in candidates:
         if ch == chart and any(m):
             hps.add(primitive((-m[1], m[0])))
@@ -328,7 +321,7 @@ def _ray_events(s: WallStructure, chart, point, m):
     for i, w in enumerate(s.walls):
         if w.cone != chart or w.rho is not None:
             continue
-        d = primitive(w.span_normal())
+        d = w.span_normal()
         pairing = _dot(d, m)
         if pairing == 0:
             continue
@@ -349,22 +342,18 @@ def _slab_function(s: WallStructure, chart, rho, q):
 
     Returns (function or None, wall index of the first contributing slab).
     """
-    cx = s.complex
     f = None
     first = None
     for i, w in enumerate(s.walls):
         if w.rho != rho:
             continue
-        if w.cone == chart:
-            q_local = q
-        else:
-            matrix, _k = cx.chart_transition(chart, w.cone)
-            q_local = tuple(sum(matrix[a][b] * q[b] for b in range(cx.n))
-                            for a in range(cx.n))
+        q_local = q
+        if w.cone != chart:
+            matrix, _k = s.complex.chart_transition(chart, w.cone)
+            q_local = mat_vec(matrix, q)
         if w.contains_point(q_local) is None:
             continue
-        fw = w.function if w.cone == chart else cx.transport_element(
-            w.function, w.cone, chart, group_level=True)
+        fw = _wall_in_chart(s, i, chart)
         f = fw if f is None else f.mul(fw)
         if first is None:
             first = i
@@ -376,15 +365,13 @@ def _same_asymptotic(cx, chart, m, p_cone, p):
         return tuple(m) == tuple(p)
     try:
         matrix, _kink = cx.chart_transition(chart, p_cone)
-    except Exception:
+    except NotAdjacent:
         return False
     rho = tuple(sorted(set(chart) & set(p_cone)))
     pos = chart.index(next(d for d in chart if d not in rho))
     if m[pos] != 0:
         return False
-    image = tuple(sum(matrix[i][j] * m[j] for j in range(cx.n))
-                  for i in range(cx.n))
-    return image == tuple(p)
+    return mat_vec(matrix, m) == tuple(p)
 
 
 def _trace(s, chart, point, A, m, bends_rev, trace_rev, states_rev, out,
@@ -452,10 +439,8 @@ def _trace(s, chart, point, A, m, bends_rev, trace_rev, states_rev, out,
         A3 = tuple(a + m2[exit_pos] * kk for a, kk in zip(A2, kink))
         if any(a < 0 for a in A3):
             continue
-        m3 = tuple(sum(matrix[i][j] * m2[j] for j in range(cx.n))
-                   for i in range(cx.n))
-        q3 = tuple(sum(Fraction(matrix[i][j]) * q[j] for j in range(cx.n))
-                   for i in range(cx.n))
+        m3 = mat_vec(matrix, m2)
+        q3 = mat_vec(matrix, q)
         new_bends = bends_rev
         new_states = states_rev
         if cid != "straight":
@@ -658,10 +643,7 @@ def decorated_to_type(d: DecoratedBrokenLine,
     for bi, b in enumerate(line.bends):
         if b.mu is None:
             continue
-        wall = s.walls[b.wall_index]
-        f = wall.function if wall.cone == b.cone else cx.transport_element(
-            wall.function, wall.cone, b.cone, group_level=True)
-        logs = _log_terms(f)
+        logs = _wall_logs(s, b.wall_index, b.cone)
         for j, mult in b.mu:
             A_j, e_j, _c = logs[j]
             for _copy in range(mult):
@@ -750,11 +732,7 @@ def _expected_bends(t, spine_path):
 
 def _bend_contributions(b: Bend, s: WallStructure):
     """The bend's mu expanded into (log-term class, exponent) pairs."""
-    cx = s.complex
-    wall = s.walls[b.wall_index]
-    f = wall.function if wall.cone == b.cone else cx.transport_element(
-        wall.function, wall.cone, b.cone, group_level=True)
-    logs = _log_terms(f)
+    logs = _wall_logs(s, b.wall_index, b.cone)
     out = []
     for j, mult in (b.mu or ()):
         A_j, e_j, _c = logs[j]

@@ -5,8 +5,8 @@ lines, theta functions, structure constants, consistency checks, local
 scattering completion, tropical classification, and 2D SVG rendering.  All
 JSON outputs carry ``"schema": "wallcross/1"`` and record the seed used for
 generic-point sampling.  Exit status: 0 on success (for ``consistency``,
-only if every verdict passes), 1 on validation errors, 2 on usage errors
-or missing files.
+only if every verdict passes), 1 on validation errors, 2 on usage errors,
+missing files or unparsable input.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .broken import alpha_trop, enumerate_lines, theta
@@ -39,18 +38,6 @@ from .walls import (
 )
 
 SCHEMA = "wallcross/1"
-
-
-@dataclass
-class RunConfig:
-    """Resolved invocation: subcommand, input paths, output path, seed."""
-
-    subcommand: str
-    geometry: str | None = None
-    truncation: str | None = None
-    walls: str | None = None
-    output: str | None = None
-    seed: int = 0
 
 
 # -- helpers ------------------------------------------------------------------
@@ -461,11 +448,14 @@ _HANDLERS = {
 }
 
 
+def _diagnose(error: str, message: str, code: int) -> int:
+    print(json.dumps({"schema": SCHEMA, "error": error, "message": message}),
+          file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    env_seed = os.environ.get("WALLCROSS_SEED")
-    if env_seed is not None:
-        args.seed = int(env_seed)
     if args.subcommand == "tropical":
         handler = (_cmd_tropical_classify
                    if args.tropical_command == "classify"
@@ -473,16 +463,20 @@ def main(argv=None) -> int:
     else:
         handler = _HANDLERS[args.subcommand]
     try:
+        env_seed = os.environ.get("WALLCROSS_SEED")
+        if env_seed is not None:
+            args.seed = int(env_seed)
         return handler(args)
     except FileNotFoundError as exc:
-        print(json.dumps({"schema": SCHEMA, "error": "FileNotFound",
-                          "message": str(exc)}), file=sys.stderr)
-        return 2
+        return _diagnose("FileNotFound", str(exc), 2)
+    except KeyError as exc:
+        # input JSON without a required key
+        return _diagnose("MissingKey", f"missing key {exc}", 2)
+    except ValueError as exc:
+        # unparsable JSON (JSONDecodeError) or a malformed vector argument
+        return _diagnose(type(exc).__name__, str(exc), 2)
     except WallcrossError as exc:
-        print(json.dumps({"schema": SCHEMA,
-                          "error": type(exc).__name__,
-                          "message": str(exc)}), file=sys.stderr)
-        return 1
+        return _diagnose(type(exc).__name__, str(exc), 1)
 
 
 if __name__ == "__main__":

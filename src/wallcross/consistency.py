@@ -14,14 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cmp_to_key
-from typing import Sequence
 
-from .broken import (
-    _candidate_monomials,
-    _sample_in_chamber,
-    chambers_containing,
-    theta,
-)
+from . import linalg
+from .broken import _candidate_monomials, _sample_in_chamber, theta
 from .errors import (
     BoundaryJoint,
     ConsistencyError,
@@ -327,15 +322,13 @@ def patching_check(s: WallStructure, p_set: dict | None = None,
         if w.rho is not None:
             continue
         ray = primitive(w.support[0])
-        below = [ch for ch in rs.chambers
-                 if tuple(ch.cone) == tuple(w.cone) and ch.lower == ray]
-        above = [ch for ch in rs.chambers
-                 if tuple(ch.cone) == tuple(w.cone) and ch.upper == ray]
-        if not below or not above:
+        below = _adjacent_chamber(rs, w.cone, ray, "lower")
+        above = _adjacent_chamber(rs, w.cone, ray, "upper")
+        if below is None or above is None:
             continue
         for p in p_set.get(tuple(w.cone), ()):
-            t_src, x_src = _theta_in_chamber(s, above[0], p, seed)
-            t_dst, _ = _theta_in_chamber(s, below[0], p, seed)
+            t_src, x_src = _theta_in_chamber(s, above, p, seed)
+            t_dst, _ = _theta_in_chamber(s, below, p, seed)
             crossed = cross_wall(t_src, w, source_side=x_src.coords)
             diff = crossed.sub(t_dst)
             loc = (tuple(w.cone), ray)
@@ -349,7 +342,7 @@ def patching_check(s: WallStructure, p_set: dict | None = None,
     for w in s.walls:
         if w.rho is None:
             continue
-        items.extend(_slab_lift_items(s, w, p_set, seed))
+        items.extend(_slab_lift_items(s, rs, w, p_set, seed))
     passed = all(i.verdict == "pass" for i in items)
     return PatchingReport(passed=passed, items=tuple(items))
 
@@ -366,7 +359,7 @@ def _adjacent_chamber(rs, cone, ray, side):
     return None
 
 
-def _slab_lift_items(s: WallStructure, w, p_set, seed):
+def _slab_lift_items(s: WallStructure, rs, w, p_set, seed):
     """Existence/uniqueness of the two-sided slab lift of each theta."""
     cx = s.complex
     rho = tuple(sorted(w.rho))
@@ -378,7 +371,6 @@ def _slab_lift_items(s: WallStructure, w, p_set, seed):
     f_slab = w.function
     slab = SlabData(cx=cx, rho=rho, side_u=side_u, side_u2=side_u2,
                     f_slab=f_slab)
-    rs = planar_chambers(s)
     items = []
     pos_u = side_u.index(rho[0])
     pos_u2 = side_u2.index(rho[0])
@@ -482,10 +474,6 @@ def localize_at_joint(s: WallStructure, joint) -> LocalizedJoint:
     inv_rank = 1
     order = list(range(1, n)) + [0]   # transverse first, invariant last
     rows = [u_rows[i] for i in order]
-
-    def remap(m):
-        return tuple(sum(r[j] * m[j] for j in range(n)) for r in rows)
-
     rays = []
     for w in s.walls:
         if tuple(w.cone) != chart:
@@ -495,14 +483,15 @@ def localize_at_joint(s: WallStructure, joint) -> LocalizedJoint:
             continue
         dirs = set()
         for g in w.support:
-            d = remap(g)[:2]
+            d = linalg.mat_vec(rows, g)[:2]
             if any(d):
                 dirs.add(primitive(d))
         if len(dirs) != 1:
             continue  # the wall is not a half-plane along the joint
         direction = dirs.pop()
         func = RingElement(
-            {(A, remap(m)): c for (A, m), c in w.function.terms.items()},
+            {(A, linalg.mat_vec(rows, m)): c
+             for (A, m), c in w.function.terms.items()},
             LOCAL_CHART, s.trunc, 2 + inv_rank)
         rays.append(LocalRay(direction=direction, function=func))
     inst = LocalInstance(trunc=s.trunc, rays=tuple(rays),
@@ -513,7 +502,6 @@ def localize_at_joint(s: WallStructure, joint) -> LocalizedJoint:
 
 def _ray_in_cone(ray, generators):
     """Nonnegative rational coordinates of ray in the cone, or None."""
-    from . import linalg
     n = len(ray)
     cols = [[Fraction(g[j]) for g in generators] for j in range(n)]
     sol = linalg.solve(cols, [Fraction(x) for x in ray])

@@ -45,10 +45,6 @@ class ChainTooShort(GeometryError):
     """Boundary chart construction needs a chain of length at least one."""
 
 
-class LocationInDelta(GeometryError):
-    """The point lies in the singular locus of the affine structure."""
-
-
 class UnsupportedDimension(WallcrossError):
     """Planar enumeration machinery invoked on a complex of dimension != 2."""
 

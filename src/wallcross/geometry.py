@@ -12,7 +12,7 @@ by the cell's kink class.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -22,13 +22,13 @@ from .errors import (
     ChainTooShort,
     DisconnectedGoodBoundary,
     GeometryError,
-    LocationInDelta,
     MissingNDimCone,
     NonUnimodularChart,
     NotAdjacent,
     NotRelative,
     NotSubmersion,
 )
+from .linalg import det
 
 ConeId = tuple[int, ...]
 
@@ -204,9 +204,9 @@ class ConeComplex:
     def transport_element(self, f: ring.RingElement, sigma: ConeId,
                           sigma2: ConeId,
                           group_level: bool = False) -> ring.RingElement:
-        matrix, kink = self.chart_transition(sigma, sigma2)
-        if sigma == sigma2:
+        if tuple(sigma) == tuple(sigma2):
             return f
+        matrix, kink = self.chart_transition(sigma, sigma2)
         rho = tuple(sorted(set(sigma) & set(sigma2)))
         normal = self.normal_into(sigma, rho)
         return ring.transport(f, matrix, normal, kink, tuple(sigma2),
@@ -247,9 +247,6 @@ class ConeComplex:
 
 
 def _check_unimodular(matrix):
-    n = len(matrix)
-    from .linalg import det
-
     d = det([list(r) for r in matrix])
     if abs(d) != 1:
         raise NonUnimodularChart(f"transition determinant {d}")
@@ -389,10 +386,6 @@ class BoundaryChart:
 
     rays: tuple[tuple[int, int], ...]
     psi: tuple[tuple[int, ...], ...]  # psi[j][l]
-
-    def embedding_image(self, chain_index: int, tracked: int):
-        return (self.rays[chain_index],
-                tuple(-self.psi[j][chain_index] for j in range(tracked)))
 
 
 def boundary_chart(self_intersections: Sequence[int],

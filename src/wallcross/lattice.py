@@ -11,6 +11,8 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Sequence
 
+from .linalg import det, mat_vec
+
 INFINITE = "infinite"
 
 
@@ -37,10 +39,6 @@ class IntegerMatrix:
         return cls(r, c, tuple(int(x) for row in rows for x in row))
 
     @classmethod
-    def zero(cls, rows: int, cols: int) -> "IntegerMatrix":
-        return cls(rows, cols, (0,) * (rows * cols))
-
-    @classmethod
     def identity(cls, n: int) -> "IntegerMatrix":
         return cls(n, n, tuple(1 if i == j else 0
                                for i in range(n) for j in range(n)))
@@ -53,10 +51,6 @@ class IntegerMatrix:
         return [list(self.entries[i * self.cols:(i + 1) * self.cols])
                 for i in range(self.rows)]
 
-    def transpose(self) -> "IntegerMatrix":
-        return IntegerMatrix.from_rows(
-            [[self[i, j] for i in range(self.rows)] for j in range(self.cols)])
-
     def multiply(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
@@ -68,8 +62,7 @@ class IntegerMatrix:
     def apply(self, v: Sequence[int]) -> tuple[int, ...]:
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        rows = self.to_rows()
-        return tuple(sum(r[j] * v[j] for j in range(self.cols)) for r in rows)
+        return mat_vec(self.to_rows(), v)
 
 
 @dataclass(frozen=True)
@@ -88,28 +81,6 @@ class SmithDecomposition:
     @property
     def rank(self) -> int:
         return sum(1 for d in self.diagonal if d != 0)
-
-
-def _det_unimodular(rows: list[list[int]]) -> int:
-    """Determinant of a small unimodular candidate (exact, fraction-free)."""
-    from fractions import Fraction
-
-    n = len(rows)
-    m = [[Fraction(x) for x in r] for r in rows]
-    result = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            result = -result
-        result *= m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] / m[c][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return int(result)
 
 
 def smith_normal_form(M: IntegerMatrix) -> SmithDecomposition:
@@ -212,7 +183,8 @@ def smith_normal_form(M: IntegerMatrix) -> SmithDecomposition:
     D = IntegerMatrix.from_rows(a)
     Um = IntegerMatrix.from_rows(u)
     Vm = IntegerMatrix.from_rows(v)
-    assert abs(_det_unimodular(u)) == 1 and abs(_det_unimodular(v)) == 1
+    if abs(det(u)) != 1 or abs(det(v)) != 1:
+        raise AssertionError("Smith normal form transforms are not unimodular")
     return SmithDecomposition(U=Um, D=D, V=Vm)
 
 

@@ -18,21 +18,9 @@ def to_fraction_matrix(rows: Iterable[Sequence]) -> Matrix:
     return [[Fraction(x) for x in row] for row in rows]
 
 
-def mat_vec(m: Sequence[Sequence], v: Sequence) -> list:
-    return [sum((Fraction(a) * Fraction(b) for a, b in zip(row, v)),
-                Fraction(0)) for row in m]
-
-
-def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> Matrix:
-    cols = len(b[0]) if b else 0
-    return [[sum((Fraction(a[i][k]) * Fraction(b[k][j])
-                  for k in range(len(b))), Fraction(0))
-             for j in range(cols)] for i in range(len(a))]
-
-
-def identity(n: int) -> Matrix:
-    return [[Fraction(1 if i == j else 0) for j in range(n)]
-            for i in range(n)]
+def mat_vec(m: Sequence[Sequence], v: Sequence) -> tuple:
+    """m·v in the entries' own arithmetic: integers in, integers out."""
+    return tuple(sum(a * b for a, b in zip(row, v)) for row in m)
 
 
 def _rref(m: Matrix) -> tuple[Matrix, list[int]]:

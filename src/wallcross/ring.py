@@ -20,6 +20,7 @@ from .errors import (
     NotUnipotent,
     TruncationError,
 )
+from .linalg import mat_vec
 
 CurveClass = tuple[int, ...]
 Exponent = tuple[int, ...]
@@ -270,40 +271,54 @@ def multiply(f: RingElement, g: RingElement) -> RingElement:
     return f.mul(g)
 
 
+def _series(start: RingElement, g: RingElement,
+            coeff: Callable[[int], Fraction]) -> RingElement:
+    """start + sum over k >= 1 of coeff(k)·g^k, finite for nilpotent g."""
+    result = start
+    power = g
+    k = 1
+    while not power.is_zero():
+        result = result.add(power.scale(coeff(k)))
+        power = power.mul(g)
+        k += 1
+    return result
+
+
+def _has_constant_class(g: RingElement) -> bool:
+    zero_class = (0,) * g.trunc.curve_rank
+    return any(A == zero_class for (A, _m) in g.terms)
+
+
+def _unipotent_part(f: RingElement, operation: str) -> RingElement:
+    """g = f - 1, checking that f is 1 plus a nilpotent element."""
+    if f.constant_coefficient() != 1:
+        raise NotUnipotent(f"{operation} requires constant term 1")
+    g = f.sub(RingElement.one(f.cone, f.trunc, f.n))
+    if _has_constant_class(g):
+        raise NotUnipotent("constant-class non-unit part present")
+    return g
+
+
 def exp_truncated(g: RingElement) -> RingElement:
     """exp(g) = sum g^k / k!, finite because g is nilpotent mod truncation."""
-    zero_class = (0,) * g.trunc.curve_rank
-    if any(A == zero_class for (A, _m) in g.terms):
+    if _has_constant_class(g):
         raise NonNilpotentArgument("exp argument has a constant-class term")
-    result = RingElement.one(g.cone, g.trunc, g.n)
-    power = RingElement.one(g.cone, g.trunc, g.n)
-    k = 0
-    while True:
-        k += 1
-        power = power.mul(g)
-        if power.is_zero():
-            break
-        result = result.add(power.scale(Fraction(1, factorial(k))))
-    return result
+    return _series(RingElement.one(g.cone, g.trunc, g.n), g,
+                   lambda k: Fraction(1, factorial(k)))
 
 
 def invert(f: RingElement) -> RingElement:
     """Inverse of f = 1 + g with g supported in the augmentation ideal."""
-    if f.constant_coefficient() != 1:
-        raise NotUnipotent("inversion requires constant term 1")
-    one = RingElement.one(f.cone, f.trunc, f.n)
-    g = f.sub(one)
-    zero_class = (0,) * f.trunc.curve_rank
-    if any(A == zero_class for (A, _m) in g.terms):
-        raise NotUnipotent("constant-class non-unit part present")
-    result = one
-    power = one
-    while True:
-        power = power.mul(g).scale(-1)
-        if power.is_zero():
-            break
-        result = result.add(power)
-    return result
+    g = _unipotent_part(f, "inversion")
+    return _series(RingElement.one(f.cone, f.trunc, f.n), g,
+                   lambda k: Fraction((-1) ** k))
+
+
+def log_unipotent(f: RingElement) -> RingElement:
+    """log f = sum (-1)^(k+1) (f - 1)^k / k for unipotent f."""
+    g = _unipotent_part(f, "logarithm")
+    return _series(RingElement.zero(f.cone, f.trunc, f.n), g,
+                   lambda k: Fraction((-1) ** (k + 1), k))
 
 
 def transport(f: RingElement, matrix: Sequence[Sequence[int]],
@@ -318,17 +333,15 @@ def transport(f: RingElement, matrix: Sequence[Sequence[int]],
     Ring homomorphism in either mode.
     """
     terms: dict[TermKey, Fraction] = {}
-    rows = [list(r) for r in matrix]
     for (A, m), c in f.terms.items():
         pair = sum(a * b for a, b in zip(normal, m))
         if pair < 0 and not group_level:
             raise InadmissibleExponent(
                 f"monomial z^{list(m)} pairs to {pair} < 0 with the conormal")
         newA = tuple(a + pair * k for a, k in zip(A, kink))
-        newm = tuple(sum(row[j] * m[j] for j in range(len(m))) for row in rows)
         if f.trunc.in_ideal(newA):
             continue
-        key = (newA, newm)
+        key = (newA, mat_vec(matrix, m))
         terms[key] = terms.get(key, Fraction(0)) + c
     return RingElement(terms, target_cone, f.trunc, f.n)
 

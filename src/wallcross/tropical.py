@@ -142,13 +142,6 @@ def _containing_chart(t: TropicalType, cx: ConeComplex) -> ConeId:
         "type spans several charts; only single-chart types are supported")
 
 
-def _in_cell(u: Sequence[int], chart: ConeId, cell: ConeId) -> bool:
-    """Is the integer vector inside the (closed) cell, in chart coords?"""
-    positions = {chart.index(d) for d in cell}
-    return all(u[j] >= 0 if j in positions else u[j] == 0
-               for j in range(len(chart)))
-
-
 # -- balancing ---------------------------------------------------------------
 
 def balancing_check(t: TropicalType, cx: ConeComplex):
@@ -535,10 +528,38 @@ def _enlarged_lattice(piece: SplitPiece, cx: ConeComplex):
     return uc, nvars, lat
 
 
-def _leg_point(piece, uc, nvars, vec, leg_index, param_pos, n):
+def _leg_point(piece, uc, vec, leg_index, param_pos, n):
     leg = piece.type.legs[leg_index]
     return [vec[uc.vertex_offset[leg.v] + j] + vec[param_pos] * leg.u[j]
             for j in range(n)]
+
+
+def _difference_columns(pieces: Sequence[SplitPiece],
+                        edges: Sequence[GluingEdge], cx: ConeComplex):
+    """The gluing difference map on the pieces' enlarged lattice bases.
+
+    One column per domain basis vector (block per piece): for each gluing
+    edge, the first leg point minus the second, counting only legs on the
+    vector's own piece.
+    """
+    n = cx.n
+    columns = []
+    data = [_enlarged_lattice(p, cx) for p in pieces]
+    for bi, (piece, (uc, nvars, lat)) in enumerate(zip(pieces, data)):
+        for vec in lat:
+            col = []
+            for e in edges:
+                contrib = [0] * n
+                for sign, (pi, li) in zip((1, -1), e.ends):
+                    if pi != bi:
+                        continue
+                    pos = nvars - len(piece.gluing_legs) + \
+                        piece.gluing_legs.index(li)
+                    pt = _leg_point(piece, uc, vec, li, pos, n)
+                    contrib = [a + sign * b for a, b in zip(contrib, pt)]
+                col.append(contrib)
+            columns.append(col)
+    return columns
 
 
 def splitting_multiplicity(pieces: Sequence[SplitPiece],
@@ -551,30 +572,12 @@ def splitting_multiplicity(pieces: Sequence[SplitPiece],
     of the image of the assembled integer map in the product of those
     lattices.
     """
-    n = cx.n
-    data = [_enlarged_lattice(p, cx) for p in pieces]
-    # domain basis: block per piece
-    blocks = []
-    for (uc, nvars, lat), piece in zip(data, pieces):
-        blocks.append((uc, nvars, lat, piece))
-    columns = []  # epsilon^gp applied to each domain basis vector
+    # each edge's difference, expressed in the edge lattice basis
+    columns = [[x for e, contrib in zip(edges, col)
+                for x in _in_lattice_basis(contrib, e.lattice)]
+               for col in _difference_columns(pieces, edges, cx)]
+    total = len(columns)
     target_dim = sum(len(e.lattice) for e in edges)
-    for bi, (uc, nvars, lat, piece) in enumerate(blocks):
-        for vec in lat:
-            col = []
-            for e in edges:
-                contrib = [0] * n
-                for sign, (pi, li) in zip((1, -1), e.ends):
-                    if pi != bi:
-                        continue
-                    pos = data[pi][1] - len(pieces[pi].gluing_legs) + \
-                        pieces[pi].gluing_legs.index(li)
-                    pt = _leg_point(pieces[pi], data[pi][0], data[pi][1],
-                                    vec, li, pos, n)
-                    contrib = [a + sign * b for a, b in zip(contrib, pt)]
-                # express in the edge lattice basis
-                col.extend(_in_lattice_basis(contrib, e.lattice))
-            columns.append(col)
     if not columns:
         columns = [[0] * target_dim]
     eps = IntegerMatrix.from_rows(
@@ -587,7 +590,6 @@ def splitting_multiplicity(pieces: Sequence[SplitPiece],
     order = cokernel_order(eps, torsion_only=True)
     assert order is not INFINITE
     # dimension formula: sum of enlarged dims = glued dim + sum of ranks
-    total = sum(len(lat) for _uc, _nv, lat, _p in blocks)
     glued_dim = total - rk
     dim_ok = total == glued_dim + target_dim
     return MultiplicityResult(multiplicity=order, rank_ok=rank_ok,
@@ -632,25 +634,9 @@ def transverse_check(pieces: Sequence[SplitPiece],
     when the difference map is surjective or the displacement misses its
     rational image.
     """
-    n = cx.n
-    data = [_enlarged_lattice(p, cx) for p in pieces]
     # rational solvability of eps(x) = nu over the combined parameter space
-    columns = []
-    for bi, ((uc, nvars, lat), piece) in enumerate(zip(data, pieces)):
-        for vec in lat:
-            col = []
-            for e in edges:
-                contrib = [0] * n
-                for sign, (pi, li) in zip((1, -1), e.ends):
-                    if pi != bi:
-                        continue
-                    pos = data[pi][1] - len(pieces[pi].gluing_legs) + \
-                        pieces[pi].gluing_legs.index(li)
-                    pt = _leg_point(pieces[pi], data[pi][0], data[pi][1],
-                                    vec, li, pos, n)
-                    contrib = [a + sign * b for a, b in zip(contrib, pt)]
-                col.extend(contrib)
-            columns.append(col)
+    columns = [[x for contrib in col for x in contrib]
+               for col in _difference_columns(pieces, edges, cx)]
     target = []
     for v in nu:
         target.extend(int(x) for x in v)

@@ -11,42 +11,32 @@ function times the kink class.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 from . import linalg, ring
 from .errors import (
     BoundarySlab,
     ClassInIdeal,
-    GeometryError,
     InadmissibleWallDirection,
     NonReducedFiber,
-    NotRelative,
     SingularPoint,
     UnsupportedDimension,
     WallError,
 )
 from .geometry import ConeComplex, ConeId, GenericPointSampler, PointInChart
-from .lattice import INFINITE, IntegerMatrix, cokernel_order
+from .lattice import IntegerMatrix, kernel_basis
 from .ring import RingElement, Truncation
 
 
-def _gcd_vector(v) -> int:
-    from math import gcd
-
-    g = 0
-    for x in v:
-        g = gcd(g, abs(int(x)))
-    return g
-
-
 def primitive(v: Sequence[int]) -> tuple[int, ...]:
-    g = _gcd_vector(v)
+    v = [int(x) for x in v]
+    g = gcd(*v)
     if g == 0:
         raise WallError("zero vector has no primitive representative")
-    return tuple(int(x) // g for x in v)
+    return tuple(x // g for x in v)
 
 
 @dataclass(frozen=True)
@@ -70,12 +60,8 @@ class Wall:
         # annihilators, i.e. conormals
         if len(basis) != 1:
             raise WallError("support does not span a hyperplane")
-        v = basis[0]
-        denom = 1
-        for x in v:
-            denom = denom * x.denominator // _nonzero_gcd(denom, x.denominator)
-        ints = [int(x * denom) for x in v]
-        return primitive(ints)
+        denom = lcm(*(x.denominator for x in basis[0]))
+        return primitive([int(x * denom) for x in basis[0]])
 
     def contains_point(self, coords: Sequence[Fraction]) -> tuple | None:
         """Barycentric coordinates of the point on the wall, or None."""
@@ -85,13 +71,6 @@ class Wall:
         if sol is None or any(l < 0 for l in sol):
             return None
         return sol
-
-
-def _nonzero_gcd(a, b):
-    from math import gcd
-
-    g = gcd(a, b)
-    return g if g else 1
 
 
 @dataclass(frozen=True)
@@ -130,9 +109,7 @@ class WallStructure:
         if x.coords[x.cone.index(extra)] != 0:
             return None
         matrix, _ = self.complex.chart_transition(x.cone, cone)
-        n = self.complex.n
-        return tuple(sum(Fraction(matrix[i][j]) * x.coords[j]
-                         for j in range(n)) for i in range(n))
+        return linalg.mat_vec(matrix, x.coords)
 
     def f_at(self, x: PointInChart) -> RingElement:
         """Product of the functions of all walls through x (in x's chart)."""
@@ -149,11 +126,8 @@ class WallStructure:
                     raise SingularPoint(
                         f"{x} lies on two transversal walls")
             seen_spans.append(span)
-            f = w.function
-            if w.cone != x.cone:
-                f = self.complex.transport_element(f, w.cone, tuple(x.cone),
-                                                   group_level=True)
-            result = result.mul(f)
+            result = result.mul(self.complex.transport_element(
+                w.function, w.cone, tuple(x.cone), group_level=True))
         return result
 
     # -- serialization -------------------------------------------------------
@@ -297,7 +271,7 @@ def assemble_canonical(cx: ConeComplex, counts: Iterable[Mapping],
                 f"direction {list(u)} not tangent to the support")
         k = entry.get("k")
         if k is None:
-            k = _gcd_vector(u)
+            k = gcd(*u)
         aut = int(entry.get("aut", 1) or 1)
         key = (cone, support, u, A)
         grouped[key] = grouped.get(key, Fraction(0)) + \
@@ -675,13 +649,11 @@ def relative_restrict(s: WallStructure) -> RelativeRestriction:
         if linalg.rank([list(g) for g in zero_gens]) == cx.n - 2:
             asym_walls.append(replace(w, support=tuple(zero_gens), rho=None))
         # fibration values on a saturated lattice basis of the support span
-        from .lattice import kernel_basis
-
         span_basis = kernel_basis(
             IntegerMatrix.from_rows([list(w.span_normal())]))
         vals = [sum(bvals[j] * v[j] for j in range(cx.n))
                 for v in span_basis]
-        ind = _gcd_vector(vals)
+        ind = gcd(*vals)
         if ind > 0:
             fiber_walls.append(
                 (replace(w, function=w.function.pow_nonneg(ind)), ind))

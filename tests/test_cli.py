@@ -72,6 +72,31 @@ def test_validation_error_exits_one(tmp_path, capsys):
     assert "error" in json.loads(err)
 
 
+def _truncated_geometry(b):
+    path = b["tmp"] / "truncated.json"
+    path.write_text(open(b["g"]).read()[:40])
+    return ["validate", "-g", str(path)]
+
+
+def _keyless(b, *argv):
+    path = b["tmp"] / "keyless.json"
+    path.write_text(json.dumps({"n": 2}))
+    return [*argv, str(path)]
+
+
+@pytest.mark.parametrize("argv", [
+    _truncated_geometry,
+    lambda b: _keyless(b, "validate", "-g"),
+    lambda b: ["theta", "-g", b["g"], "-t", b["t"], "-w", b["w"],
+               "--p", "1,x", "--x", "1,2"],
+    lambda b: _keyless(b, "scatter", "--instance"),
+], ids=["truncated-json", "missing-key", "bad-vector", "missing-trunc"])
+def test_unparsable_input_is_usage_error(bundle, capsys, argv):
+    code, _, err = run(capsys, *argv(bundle))
+    assert code == 2
+    assert json.loads(err)["schema"] == "wallcross/1"
+
+
 # -- wall assembly ------------------------------------------------------------
 
 def test_walls_assembles_and_round_trips(capsys, tmp_path):

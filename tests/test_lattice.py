@@ -8,7 +8,10 @@ elimination-based Smith normal form in the package.
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
 from math import gcd
 
@@ -212,3 +215,39 @@ def test_property_rank_matches_rational_rank(rows):
 
     m = IntegerMatrix.from_rows(rows)
     assert smith_normal_form(m).rank == linalg.rank(rows)
+
+
+# --- matrix times vector and the unimodularity check ------------------------
+
+def test_mat_vec_keeps_the_entry_type():
+    from fractions import Fraction
+
+    from wallcross.linalg import mat_vec
+
+    got = mat_vec([[1, 2], [-3, 4]], (5, -6))
+    assert got == (-7, -39)
+    assert all(type(x) is int for x in got)
+    got = mat_vec([[1, 2], [-3, 4]], (Fraction(1, 2), Fraction(-1, 3)))
+    assert got == (Fraction(-1, 6), Fraction(-17, 6))
+    assert all(type(x) is Fraction for x in got)
+
+
+def test_apply_returns_integers():
+    got = IntegerMatrix.from_rows([[2, 1], [0, 3]]).apply((4, -1))
+    assert got == (7, -3) and all(type(x) is int for x in got)
+
+
+def test_non_unimodular_transform_raises_under_optimization():
+    # the check must be a real raise: ``python -O`` strips assert statements
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    script = ("import wallcross.lattice as L\n"
+              "L.det = lambda rows: 2\n"
+              "try:\n"
+              "    L.smith_normal_form(L.IntegerMatrix.from_rows([[2, 4]]))\n"
+              "except AssertionError:\n"
+              "    raise SystemExit(0)\n"
+              "raise SystemExit(1)\n")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

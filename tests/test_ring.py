@@ -24,6 +24,7 @@ from wallcross.ring import (
     admissible_at,
     exp_truncated,
     invert,
+    log_unipotent,
     multiply,
     transport,
 )
@@ -146,6 +147,32 @@ def test_invert_requires_unipotent():
         invert(mono((0,), (1, 0)))
 
 
+# -- logarithm ---------------------------------------------------------------
+
+@pytest.mark.parametrize("bound", [1, 2, 3, 6])
+@pytest.mark.parametrize("m", [(1, 0), (-1, -1), (2, -3)])
+def test_log_closed_form(bound, m):
+    # log(1 + t z^m) = sum_k (-1)^(k+1) t^k z^(km) / k, cut at the bound
+    trunc = Truncation.degree(1, bound)
+    f = one(trunc).add(mono((1,), m, 1, trunc))
+    expected = RingElement.zero(CONE, trunc, 2)
+    for k in range(1, bound + 1):
+        expected = expected.add(mono((k,), tuple(k * x for x in m),
+                                     Fraction((-1) ** (k + 1), k), trunc))
+    assert log_unipotent(f) == expected
+
+
+def test_log_of_one_is_zero():
+    assert log_unipotent(one()).is_zero()
+
+
+def test_log_requires_unipotent():
+    with pytest.raises(NotUnipotent):
+        log_unipotent(one().scale(2))
+    with pytest.raises(NotUnipotent):
+        log_unipotent(one().add(mono((0,), (1, 0))))
+
+
 # -- transport ---------------------------------------------------------------
 
 IDENT = ((1, 0), (0, 1))
@@ -264,3 +291,11 @@ def test_property_invert_involution(g):
     f = RingElement.one(CONE, T3, 2).add(g)
     assert invert(invert(f)) == f
     assert multiply(f, invert(f)) == RingElement.one(CONE, T3, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(nilpotent_strategy)
+def test_property_log_exp_round_trips(g):
+    assert log_unipotent(exp_truncated(g)) == g
+    f = RingElement.one(CONE, T3, 2).add(g)
+    assert exp_truncated(log_unipotent(f)) == f

@@ -28,17 +28,10 @@ from .errors import (
     WrongSideCrossing,
 )
 from .geometry import GenericPointSampler, PointInChart
-from .linalg import mat_vec, solve as _solve
+from .linalg import cone_coords, mat_vec
 from .ring import RingElement, Truncation
-from .tropical import Edge, Leg, TropicalType, Vertex
-from .walls import (
-    Chamber,
-    Wall,
-    WallStructure,
-    _cone_key,
-    planar_chambers,
-    primitive,
-)
+from .tropical import Edge, Leg, TropicalType, Vertex, _spine
+from .walls import Chamber, Wall, WallStructure, _cone_key, primitive
 
 ConeId = tuple
 
@@ -47,11 +40,6 @@ _TRACE_LIMIT = 64
 
 def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
-
-
-def _log_terms(f: RingElement):
-    """Terms of log f for unipotent f, as (class, exponent, coeff) triples."""
-    return [(A, m, c) for (A, m), c in ring.log_unipotent(f).sorted_terms()]
 
 
 # -- domain types ------------------------------------------------------------
@@ -135,7 +123,7 @@ def transport_results(mono: RingElement, wall: Wall,
     """
     [(key, coeff)] = list(mono.sorted_terms())
     _A, m = key
-    n = wall.span_normal()
+    n = wall.normal
     side = _dot(n, incoming_side)
     if side < 0:
         n = tuple(-x for x in n)
@@ -175,8 +163,7 @@ def _undecorated_choices(f: RingElement, pairing: int, A_avail):
     return out
 
 
-def _decorated_choices(f: RingElement, pairing: int, A_avail):
-    logs = _log_terms(f)
+def _decorated_choices(logs, pairing: int, A_avail, n: int):
     out = []
 
     def rec(j, dA, dm, coeff, mu):
@@ -185,7 +172,7 @@ def _decorated_choices(f: RingElement, pairing: int, A_avail):
                 out.append((tuple(dA), tuple(dm), coeff,
                             ("mu", tuple(mu)), tuple(mu)))
             return
-        A_j, e_j, c_j = logs[j]
+        (A_j, e_j), c_j = logs[j]
         mult = 0
         while True:
             nA = [a + mult * b for a, b in zip(dA, A_j)]
@@ -199,13 +186,15 @@ def _decorated_choices(f: RingElement, pairing: int, A_avail):
             mult += 1
 
     zero = [0] * len(A_avail)
-    rec(0, zero, [0] * f.n, Fraction(1), [])
+    rec(0, zero, [0] * n, Fraction(1), [])
     return out
 
 
-def _bend_choices(f, pairing, A_avail, decorated):
-    if decorated:
-        return _decorated_choices(f, pairing, A_avail)
+def _bend_choices(f, pairing, A_avail, logs):
+    """Bends across the function f: decorated by its log terms ``logs``
+    if they are given, else by the terms of its power."""
+    if logs is not None:
+        return _decorated_choices(logs, pairing, A_avail, f.n)
     return _undecorated_choices(f, pairing, A_avail)
 
 
@@ -221,38 +210,16 @@ def _adjacent_charts(cx, chart):
     return out
 
 
-def _wall_in_chart(s: WallStructure, i: int, chart) -> RingElement:
-    """The function of wall i, transported into ``chart``."""
-    w = s.walls[i]
-    return s.complex.transport_element(w.function, w.cone, chart,
-                                       group_level=True)
-
-
-def _wall_logs(s: WallStructure, i: int, chart):
-    """Log terms of the function of wall i, in ``chart``."""
-    return _log_terms(_wall_in_chart(s, i, chart))
-
-
-def _wall_logs_in_chart(s: WallStructure, chart):
-    """(wall index, log terms transported to the chart) for visible walls."""
-    return [(i, _wall_logs(s, i, chart)) for i, w in enumerate(s.walls)
-            if w.cone == chart
-            or (w.rho is not None and set(w.rho) <= set(chart))]
-
-
 def _candidate_monomials(s: WallStructure, p_cone, p):
     """Superset of reachable segment monomials, per chart, under truncation."""
     cx, trunc = s.complex, s.trunc
     zero = (0,) * cx.curve_rank
-    logs_by_chart = {}
     seen = {(tuple(p_cone), zero, tuple(p))}
     frontier = list(seen)
     while frontier:
         chart, A, m = frontier.pop()
-        if chart not in logs_by_chart:
-            logs_by_chart[chart] = _wall_logs_in_chart(s, chart)
-        for _i, logs in logs_by_chart[chart]:
-            for A_j, e_j, _c in logs:
+        for logs in s.wall_logs(chart).values():
+            for (A_j, e_j), _c in logs:
                 A2 = tuple(a + b for a, b in zip(A, A_j))
                 if trunc.in_ideal(A2):
                     continue
@@ -278,7 +245,7 @@ def genericity_hyperplanes(s: WallStructure, chart, candidates):
     hps = set()
     for w in s.walls:
         if w.cone == chart:
-            hps.add(w.span_normal())
+            hps.add(w.normal)
     for ch, _A, m in candidates:
         if ch == chart and any(m):
             hps.add(primitive((-m[1], m[0])))
@@ -321,7 +288,7 @@ def _ray_events(s: WallStructure, chart, point, m):
     for i, w in enumerate(s.walls):
         if w.cone != chart or w.rho is not None:
             continue
-        d = w.span_normal()
+        d = w.normal
         pairing = _dot(d, m)
         if pairing == 0:
             continue
@@ -353,7 +320,8 @@ def _slab_function(s: WallStructure, chart, rho, q):
             q_local = mat_vec(matrix, q)
         if w.contains_point(q_local) is None:
             continue
-        fw = _wall_in_chart(s, i, chart)
+        fw = s.complex.transport_element(w.function, w.cone, chart,
+                                         group_level=True)
         f = fw if f is None else f.mul(fw)
         if first is None:
             first = i
@@ -384,11 +352,12 @@ def _trace(s, chart, point, A, m, bends_rev, trace_rev, states_rev, out,
     events, exit_info = _ray_events(s, chart, point, m)
     # bend at event k, passing straight through the earlier ones
     for k, (t_k, i_k, w_k, q_k) in enumerate(events):
-        pairing = abs(_dot(w_k.span_normal(), m))
+        pairing = abs(_dot(w_k.normal, m))
         straight = [("wall", chart, _cone_key(s.walls[i].support), "straight")
                     for _t, i, _w, _q in events[:k]]
+        logs = s.wall_logs(chart)[i_k] if decorated else None
         for dA, dm, c, cid, mu in _bend_choices(w_k.function, pairing, A,
-                                                decorated):
+                                                logs):
             A2 = tuple(a - b for a, b in zip(A, dA))
             if any(a < 0 for a in A2):
                 continue
@@ -429,7 +398,11 @@ def _trace(s, chart, point, A, m, bends_rev, trace_rev, states_rev, out,
     choices = [((0,) * cx.curve_rank, (0,) * cx.n, Fraction(1),
                 "straight", None)]
     if f_slab is not None:
-        choices += _bend_choices(f_slab, pairing, A, decorated)
+        # the product of the slab functions keeps its own logarithm, so the
+        # bend's mu indexes the log terms of that product
+        logs = ring.log_unipotent(f_slab).sorted_terms() if decorated \
+            else None
+        choices += _bend_choices(f_slab, pairing, A, logs)
     for dA, dm, c, cid, mu in choices:
         A2 = tuple(a - b for a, b in zip(A, dA))
         if any(a < 0 for a in A2):
@@ -474,23 +447,37 @@ def _assemble_line(s, x, p_cone, p, cand, bends, trace, states):
                       trace=tuple(trace))
 
 
+def _exponent(p, cone):
+    """(chart, integer vector) of p, a PointInChart or a vector in cone."""
+    if isinstance(p, PointInChart):
+        return tuple(p.cone), tuple(int(c) for c in p.coords)
+    return cone, tuple(int(c) for c in p)
+
+
+def _asymptotic(s: WallStructure, p, cone):
+    """(chart, exponent, candidate monomials) of the asymptotic exponent p,
+    a PointInChart or a vector in ``cone``."""
+    if s.complex.n != 2:
+        raise UnsupportedDimension(
+            "broken-line enumeration is implemented for surfaces")
+    p_cone, p_vec = _exponent(p, tuple(cone))
+    return p_cone, p_vec, _candidate_monomials(s, p_cone, p_vec)
+
+
 def enumerate_lines(s: WallStructure, p, x: PointInChart,
                     decorated: bool = False, seed: int = 0):
     """All broken lines with asymptotic exponent p and endpoint x."""
-    cx, trunc = s.complex, s.trunc
-    if cx.n != 2:
-        raise UnsupportedDimension(
-            "broken-line enumeration is implemented for surfaces")
-    if isinstance(p, PointInChart):
-        p_cone, p_vec = tuple(p.cone), tuple(int(c) for c in p.coords)
-    else:
-        p_cone, p_vec = tuple(x.cone), tuple(int(c) for c in p)
+    return _lines(s, _asymptotic(s, p, x.cone), x, decorated, seed)
+
+
+def _lines(s: WallStructure, asymptotic, x: PointInChart, decorated, seed):
+    """``enumerate_lines`` given the result of ``_asymptotic``."""
+    p_cone, p_vec, candidates = asymptotic
     if not any(p_vec):
         raise BrokenLineError("the asymptotic exponent must be nonzero")
     if any(c < 0 for c in p_vec):
         raise BrokenLineError(
             "the asymptotic exponent must lie in its chart cone")
-    candidates = _candidate_monomials(s, p_cone, p_vec)
     _ensure_generic(s, x, candidates, seed=seed)
     raw = []
     for chart, A, m in sorted(candidates):
@@ -511,15 +498,16 @@ def enumerate_lines(s: WallStructure, p, x: PointInChart,
 def theta(s: WallStructure, p, x: PointInChart,
           seed: int = 0) -> RingElement:
     """Sum of final monomials of all broken lines for (p, x)."""
+    return _theta(s, _asymptotic(s, p, x.cone), x, seed)
+
+
+def _theta(s: WallStructure, asymptotic, x: PointInChart, seed):
+    """``theta`` given the result of ``_asymptotic``."""
     cx, trunc = s.complex, s.trunc
-    if isinstance(p, PointInChart):
-        p_zero = not any(p.coords)
-    else:
-        p_zero = not any(p)
-    if p_zero:
+    if not any(asymptotic[1]):
         return RingElement.one(tuple(x.cone), trunc, cx.n)
     total = RingElement.zero(tuple(x.cone), trunc, cx.n)
-    for line in enumerate_lines(s, p, x, seed=seed):
+    for line in _lines(s, asymptotic, x, False, seed):
         total = total.add(line.monomial(trunc))
     return total
 
@@ -533,17 +521,9 @@ class AlphaResult:
     x: PointInChart
 
 
-def _chamber_contains(ch: Chamber, cone, r) -> bool:
-    if tuple(cone) != tuple(ch.cone):
-        return False
-    cols = [[Fraction(ch.lower[i]), Fraction(ch.upper[i])] for i in range(2)]
-    sol = _solve(cols, [Fraction(c) for c in r])
-    return sol is not None and all(c >= 0 for c in sol)
-
-
 def chambers_containing(s: WallStructure, r_cone, r):
-    rs = planar_chambers(s)
-    return [ch for ch in rs.chambers if _chamber_contains(ch, r_cone, r)]
+    return [ch for ch in s.chambers if tuple(ch.cone) == tuple(r_cone)
+            and cone_coords((ch.lower, ch.upper), r) is not None]
 
 
 def _sample_in_chamber(s, ch: Chamber, cands, seed):
@@ -568,26 +548,18 @@ def alpha_trop(s: WallStructure, p1, p2, r, seed: int = 0,
     cx, trunc = s.complex, s.trunc
     if cx.n != 2:
         raise UnsupportedDimension("structure constants need a surface")
-    r_cone, r_vec = (tuple(r.cone), tuple(int(c) for c in r.coords)) \
-        if isinstance(r, PointInChart) else (None, tuple(int(c) for c in r))
-    p1c = p1 if isinstance(p1, PointInChart) else None
-    chs = chambers_containing(
-        s, r_cone or (p1c.cone if p1c else s.complex.maximal_cones[0]),
-        r_vec)
-    if chamber is not None:
-        chs = [chamber]
+    # a plain vector r lives in p1's chart, or else in the first chart
+    r_cone, r_vec = _exponent(r, _exponent(p1, cx.maximal_cones[0])[0])
+    chs = [chamber] if chamber is not None \
+        else chambers_containing(s, r_cone, r_vec)
     if not chs:
         raise BrokenLineError(f"no chamber contains {r_vec}")
     ch = chs[0]
-    cands1 = _candidate_monomials(
-        s, *(p1.cone, tuple(int(c) for c in p1.coords))
-        if isinstance(p1, PointInChart) else (ch.cone, tuple(p1)))
-    cands2 = _candidate_monomials(
-        s, *(p2.cone, tuple(int(c) for c in p2.coords))
-        if isinstance(p2, PointInChart) else (ch.cone, tuple(p2)))
-    x = _sample_in_chamber(s, ch, cands1 | cands2, seed)
-    lines1 = enumerate_lines(s, p1, x, seed=seed)
-    lines2 = enumerate_lines(s, p2, x, seed=seed)
+    asym1 = _asymptotic(s, p1, ch.cone)
+    asym2 = _asymptotic(s, p2, ch.cone)
+    x = _sample_in_chamber(s, ch, asym1[2] | asym2[2], seed)
+    lines1 = _lines(s, asym1, x, False, seed)
+    lines2 = _lines(s, asym2, x, False, seed)
     total = RingElement.zero(tuple(ch.cone), trunc, cx.n)
     zero_m = (0,) * cx.n
     for l1 in lines1:
@@ -643,9 +615,9 @@ def decorated_to_type(d: DecoratedBrokenLine,
     for bi, b in enumerate(line.bends):
         if b.mu is None:
             continue
-        logs = _wall_logs(s, b.wall_index, b.cone)
+        logs = s.wall_logs(b.cone)[b.wall_index]
         for j, mult in b.mu:
-            A_j, e_j, _c = logs[j]
+            (A_j, e_j), _c = logs[j]
             for _copy in range(mult):
                 # the contributing wall piece emanates from the origin (the
                 # deepest stratum) opposite to its monomial exponent
@@ -688,27 +660,20 @@ def type_to_line(t: TropicalType, s: WallStructure,
 
 
 def _spine_path(t: TropicalType, start, goal):
+    spine, _edges = _spine(t)
     adj = {}
-    for ei, e in enumerate(t.edges):
+    for e in t.edges:
         adj.setdefault(e.v[0], []).append(e.v[1])
         adj.setdefault(e.v[1], []).append(e.v[0])
     path = [start]
     prev = None
     while path[-1] != goal:
-        nxt = [w for w in adj.get(path[-1], []) if w != prev
-               and _on_spine(t, w)]
+        nxt = [w for w in adj.get(path[-1], []) if w != prev and w in spine]
         if not nxt:
             raise InadmissibleType("legs are not connected through the tree")
         prev = path[-1]
         path.append(nxt[0])
     return path
-
-
-def _on_spine(t: TropicalType, v: int) -> bool:
-    from .tropical import _spine
-
-    verts, _edges = _spine(t)
-    return v in verts
 
 
 def _expected_bends(t, spine_path):
@@ -732,10 +697,10 @@ def _expected_bends(t, spine_path):
 
 def _bend_contributions(b: Bend, s: WallStructure):
     """The bend's mu expanded into (log-term class, exponent) pairs."""
-    logs = _wall_logs(s, b.wall_index, b.cone)
+    logs = s.wall_logs(b.cone)[b.wall_index]
     out = []
     for j, mult in (b.mu or ()):
-        A_j, e_j, _c = logs[j]
+        (A_j, e_j), _c = logs[j]
         out.extend([(tuple(A_j), tuple(e_j))] * mult)
     return sorted(out)
 

@@ -18,7 +18,12 @@ import sys
 from fractions import Fraction
 
 from .broken import alpha_trop, enumerate_lines, theta
-from .consistency import LocalInstance, check_structure, complete_codim0
+from .consistency import (
+    LocalInstance,
+    check_structure,
+    complete_codim0,
+    ordered_rays,
+)
 from .errors import NonPlanarSlice, WallcrossError
 from .geometry import PointInChart, load_geometry, validate_complex
 from .tropical import (
@@ -31,9 +36,7 @@ from .tropical import (
 from .walls import (
     WallStructure,
     assemble_canonical,
-    check_wall,
     counts_from_json,
-    planar_chambers,
     truncation_from_json,
 )
 
@@ -120,8 +123,6 @@ def _cmd_walls(args):
         g = _load_json(args.grading)
         grading = g["pairings"] if isinstance(g, dict) else g
     s = assemble_canonical(cx, counts, trunc, grading=grading)
-    for w in s.walls:
-        check_wall(cx, w, grading=grading)
     out = s.to_json()
     out["seed"] = args.seed
     _emit(args, out)
@@ -260,7 +261,6 @@ def render_svg(s: WallStructure | None, lines=(), instance=None) -> bytes:
         to_px = _mapper(2 * world)
         shift = world  # origin at the center
         ox, oy = to_px((shift, shift))
-        from .consistency import ordered_rays
         for i, ray in enumerate(ordered_rays(instance)):
             tip = _clip_ray(ray.direction[:2], world)
             tx, ty = to_px((tip[0] + shift, tip[1] + shift))
@@ -280,8 +280,7 @@ def render_svg(s: WallStructure | None, lines=(), instance=None) -> bytes:
     to_px = _mapper(world)
     ox, oy = to_px((0, 0))
     # chambers, shaded alternately
-    rs = planar_chambers(s)
-    for i, ch in enumerate(rs.chambers):
+    for i, ch in enumerate(s.chambers):
         lo = _clip_ray(ch.lower, world)
         hi = _clip_ray(ch.upper, world)
         pts = [to_px((0, 0)), to_px(lo), to_px(hi)]
@@ -472,6 +471,9 @@ def main(argv=None) -> int:
     except KeyError as exc:
         # input JSON without a required key
         return _diagnose("MissingKey", f"missing key {exc}", 2)
+    except TypeError as exc:
+        # input JSON of the wrong shape, e.g. a list where an object is due
+        return _diagnose("WrongShape", str(exc), 2)
     except ValueError as exc:
         # unparsable JSON (JSONDecodeError) or a malformed vector argument
         return _diagnose(type(exc).__name__, str(exc), 2)

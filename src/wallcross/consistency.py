@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 
 from . import linalg
-from .broken import _candidate_monomials, _sample_in_chamber, theta
+from .broken import _asymptotic, _sample_in_chamber, _theta
 from .errors import (
     BoundaryJoint,
     ConsistencyError,
@@ -33,7 +33,6 @@ from .walls import (
     WallStructure,
     apply_theta,
     cross_wall,
-    planar_chambers,
     primitive,
     refine,
     slab_localize,
@@ -259,9 +258,8 @@ class PatchingReport:
 
 def default_p_set(s: WallStructure) -> dict:
     """Per chart: primitive chamber-ray generators and their pairwise sums."""
-    rs = planar_chambers(s)
     per_chart: dict[tuple, set] = {}
-    for ch in rs.chambers:
+    for ch in s.chambers:
         per_chart.setdefault(tuple(ch.cone), set()).update(
             (primitive(ch.lower), primitive(ch.upper)))
     out = {}
@@ -279,13 +277,9 @@ def _witness(diff: RingElement):
 
 
 def _theta_in_chamber(s, ch, p, seed):
-    if isinstance(p, PointInChart):
-        cands = _candidate_monomials(s, tuple(p.cone),
-                                     tuple(int(c) for c in p.coords))
-    else:
-        cands = _candidate_monomials(s, tuple(ch.cone), tuple(p))
-    x = _sample_in_chamber(s, ch, cands, seed)
-    return theta(s, p, x), x
+    asymptotic = _asymptotic(s, p, ch.cone)
+    x = _sample_in_chamber(s, ch, asymptotic[2], seed)
+    return _theta(s, asymptotic, x, 0), x
 
 
 def patching_check(s: WallStructure, p_set: dict | None = None,
@@ -302,10 +296,9 @@ def patching_check(s: WallStructure, p_set: dict | None = None,
     s = refine(s)
     if p_set is None:
         p_set = default_p_set(s)
-    rs = planar_chambers(s)
     items = []
     # (1) chamber-interior invariance
-    for ch in rs.chambers:
+    for ch in s.chambers:
         for p in p_set.get(tuple(ch.cone), ()):
             t1, _ = _theta_in_chamber(s, ch, p, seed)
             t2, _ = _theta_in_chamber(s, ch, p, seed + 1)
@@ -322,8 +315,8 @@ def patching_check(s: WallStructure, p_set: dict | None = None,
         if w.rho is not None:
             continue
         ray = primitive(w.support[0])
-        below = _adjacent_chamber(rs, w.cone, ray, "lower")
-        above = _adjacent_chamber(rs, w.cone, ray, "upper")
+        below = _adjacent_chamber(s, w.cone, ray, "lower")
+        above = _adjacent_chamber(s, w.cone, ray, "upper")
         if below is None or above is None:
             continue
         for p in p_set.get(tuple(w.cone), ()):
@@ -342,14 +335,14 @@ def patching_check(s: WallStructure, p_set: dict | None = None,
     for w in s.walls:
         if w.rho is None:
             continue
-        items.extend(_slab_lift_items(s, rs, w, p_set, seed))
+        items.extend(_slab_lift_items(s, w, p_set, seed))
     passed = all(i.verdict == "pass" for i in items)
     return PatchingReport(passed=passed, items=tuple(items))
 
 
-def _adjacent_chamber(rs, cone, ray, side):
+def _adjacent_chamber(s, cone, ray, side):
     """The chamber of ``cone`` having ``ray`` as lower/upper boundary."""
-    for ch in rs.chambers:
+    for ch in s.chambers:
         if tuple(ch.cone) != tuple(cone):
             continue
         if side == "lower" and ch.lower == ray:
@@ -359,7 +352,7 @@ def _adjacent_chamber(rs, cone, ray, side):
     return None
 
 
-def _slab_lift_items(s: WallStructure, rs, w, p_set, seed):
+def _slab_lift_items(s: WallStructure, w, p_set, seed):
     """Existence/uniqueness of the two-sided slab lift of each theta."""
     cx = s.complex
     rho = tuple(sorted(w.rho))
@@ -377,10 +370,10 @@ def _slab_lift_items(s: WallStructure, rs, w, p_set, seed):
     ray_u = tuple(1 if j == pos_u else 0 for j in range(2))
     ray_u2 = tuple(1 if j == pos_u2 else 0 for j in range(2))
     # chambers hugging the slab from either side
-    ch_u = (_adjacent_chamber(rs, side_u, ray_u, "lower")
-            or _adjacent_chamber(rs, side_u, ray_u, "upper"))
-    ch_u2 = (_adjacent_chamber(rs, side_u2, ray_u2, "lower")
-             or _adjacent_chamber(rs, side_u2, ray_u2, "upper"))
+    ch_u = (_adjacent_chamber(s, side_u, ray_u, "lower")
+            or _adjacent_chamber(s, side_u, ray_u, "upper"))
+    ch_u2 = (_adjacent_chamber(s, side_u2, ray_u2, "lower")
+             or _adjacent_chamber(s, side_u2, ray_u2, "upper"))
     if ch_u is None or ch_u2 is None:
         return []
     extra_u = 1 - pos_u
@@ -478,8 +471,7 @@ def localize_at_joint(s: WallStructure, joint) -> LocalizedJoint:
     for w in s.walls:
         if tuple(w.cone) != chart:
             continue
-        coeffs = _ray_in_cone(ray, w.support)
-        if coeffs is None:
+        if linalg.cone_coords(w.support, ray) is None:
             continue
         dirs = set()
         for g in w.support:
@@ -498,16 +490,6 @@ def localize_at_joint(s: WallStructure, joint) -> LocalizedJoint:
                          invariant_rank=inv_rank)
     return LocalizedJoint(instance=inst, global_dispatch=False,
                           chart=chart, basis=tuple(tuple(r) for r in rows))
-
-
-def _ray_in_cone(ray, generators):
-    """Nonnegative rational coordinates of ray in the cone, or None."""
-    n = len(ray)
-    cols = [[Fraction(g[j]) for g in generators] for j in range(n)]
-    sol = linalg.solve(cols, [Fraction(x) for x in ray])
-    if sol is None or any(c < 0 for c in sol):
-        return None
-    return tuple(sol)
 
 
 def check_joint(s, joint=None, p_set: dict | None = None,
@@ -578,7 +560,8 @@ def _boundary_joint_report(s: WallStructure, joint) -> JointReport:
         if all(ray[j] == 0 for j in range(n) if j not in positions):
             facet_positions.append(positions)
     for w in s.walls:
-        if tuple(w.cone) != chart or _ray_in_cone(ray, w.support) is None:
+        if tuple(w.cone) != chart \
+                or linalg.cone_coords(w.support, ray) is None:
             continue
         for (A, m), _c in w.function.terms.items():
             if not any(A):

@@ -28,7 +28,7 @@ from .errors import (
     NotRelative,
     NotSubmersion,
 )
-from .linalg import det
+from .linalg import det, mat_mul
 
 ConeId = tuple[int, ...]
 
@@ -197,8 +197,7 @@ class ConeComplex:
                   for i in range(self.n)]
         for a, b in zip(cone_path, cone_path[1:]):
             m, _ = self.chart_transition(a, b)
-            result = [[sum(m[i][k] * result[k][j] for k in range(self.n))
-                       for j in range(self.n)] for i in range(self.n)]
+            result = mat_mul(m, result)
         return tuple(tuple(row) for row in result)
 
     def transport_element(self, f: ring.RingElement, sigma: ConeId,
@@ -362,9 +361,8 @@ def validate_complex(cx: ConeComplex):
         s1, s2 = cx.max_cones_containing(rho)
         m12, _ = cx.chart_transition(s1, s2)
         m21, _ = cx.chart_transition(s2, s1)
-        prod = [[sum(m12[i][k] * m21[k][j] for k in range(n))
-                 for j in range(n)] for i in range(n)]
-        if prod != [[1 if i == j else 0 for j in range(n)] for i in range(n)]:
+        if mat_mul(m12, m21) != [[1 if i == j else 0 for j in range(n)]
+                                 for i in range(n)]:
             raise NonUnimodularChart(
                 f"transitions across {rho} do not invert each other")
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Sequence
 
-from .linalg import det, mat_vec
+from .linalg import det, mat_mul, mat_vec
 
 INFINITE = "infinite"
 
@@ -54,10 +54,8 @@ class IntegerMatrix:
     def multiply(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        a, b = self.to_rows(), other.to_rows()
         return IntegerMatrix.from_rows(
-            [[sum(a[i][k] * b[k][j] for k in range(self.cols))
-              for j in range(other.cols)] for i in range(self.rows)])
+            mat_mul(self.to_rows(), other.to_rows()))
 
     def apply(self, v: Sequence[int]) -> tuple[int, ...]:
         if len(v) != self.cols:

@@ -23,6 +23,13 @@ def mat_vec(m: Sequence[Sequence], v: Sequence) -> tuple:
     return tuple(sum(a * b for a, b in zip(row, v)) for row in m)
 
 
+def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
+    """a·b in the entries' own arithmetic: integers in, integers out."""
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols]
+            for row in a]
+
+
 def _rref(m: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form; returns (rref, pivot column indices)."""
     m = [row[:] for row in m]
@@ -87,6 +94,16 @@ def solve(m: Sequence[Sequence], b: Sequence) -> Vector | None:
     for r, p in enumerate(pivots):
         x[p] = red[r][cols]
     return tuple(x)
+
+
+def cone_coords(generators: Sequence[Sequence], v: Sequence) -> Vector | None:
+    """Nonnegative λ with Σ λ_i·generators[i] = v, or None if v is outside
+    the cone."""
+    cols = [[Fraction(g[j]) for g in generators] for j in range(len(v))]
+    sol = solve(cols, v)
+    if sol is None or any(c < 0 for c in sol):
+        return None
+    return sol
 
 
 def det(m: Sequence[Sequence]) -> Fraction:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
@@ -52,7 +53,8 @@ class Wall:
     def n(self) -> int:
         return len(self.support[0])
 
-    def span_normal(self) -> tuple[int, ...]:
+    @cached_property
+    def normal(self) -> tuple[int, ...]:
         """A primitive integer conormal of the support's hyperplane."""
         basis = linalg.nullspace([list(g) for g in self.support])
         # the support has dim n-1 so the conormal line is 1-dimensional;
@@ -65,16 +67,14 @@ class Wall:
 
     def contains_point(self, coords: Sequence[Fraction]) -> tuple | None:
         """Barycentric coordinates of the point on the wall, or None."""
-        cols = [[Fraction(g[i]) for g in self.support]
-                for i in range(self.n)]
-        sol = linalg.solve(cols, [Fraction(c) for c in coords])
-        if sol is None or any(l < 0 for l in sol):
-            return None
-        return sol
+        return linalg.cone_coords(self.support, coords)
 
 
 @dataclass(frozen=True)
 class WallStructure:
+    """Walls on a complex; the data derived from them is computed once, on
+    first use, and kept on the instance."""
+
     complex: ConeComplex
     trunc: Truncation
     walls: tuple[Wall, ...]
@@ -82,6 +82,34 @@ class WallStructure:
 
     def with_walls(self, walls: Iterable[Wall]) -> "WallStructure":
         return replace(self, walls=tuple(walls))
+
+    @cached_property
+    def chambers(self) -> tuple["Chamber", ...]:
+        """Chambers of the refined decomposition (two-dimensional only)."""
+        return planar_chambers(self).chambers
+
+    @cached_property
+    def _logs_by_chart(self) -> dict:
+        return {}
+
+    def wall_logs(self, chart: ConeId) -> dict[int, list]:
+        """Log terms of every wall visible in ``chart``, in that chart.
+
+        Keyed by wall index, in index order; each value is the sorted list
+        of ((class, exponent), coefficient) terms.  A wall is visible in
+        its own chart and, if it is a slab, in every chart containing its
+        cell.
+        """
+        chart = tuple(chart)
+        if chart not in self._logs_by_chart:
+            self._logs_by_chart[chart] = {
+                i: ring.log_unipotent(self.complex.transport_element(
+                    w.function, w.cone, chart, group_level=True)
+                ).sorted_terms()
+                for i, w in enumerate(self.walls)
+                if w.cone == chart
+                or (w.rho is not None and set(w.rho) <= set(chart))}
+        return self._logs_by_chart[chart]
 
     # -- evaluation ----------------------------------------------------------
 
@@ -190,7 +218,7 @@ def check_wall(cx: ConeComplex, wall: Wall,
         raise WallError(f"{wall.cone} is not a maximal cone")
     if linalg.rank([list(g) for g in wall.support]) != n - 1:
         raise WallError("wall support must have dimension n-1")
-    normal = wall.span_normal()
+    normal = wall.normal
 
     cell = minimal_cell(cx, wall.cone, wall.support)
     if len(cell) <= n - 2:
@@ -473,7 +501,7 @@ def cross_wall(f: RingElement, wall: Wall, source_side: Sequence[int]
     hyperplane (in the wall's chart).  The conormal is normalized positive
     on that side.
     """
-    normal = wall.span_normal()
+    normal = wall.normal
     pairing = sum(Fraction(a) * Fraction(b)
                   for a, b in zip(normal, source_side))
     if pairing == 0:
@@ -650,7 +678,7 @@ def relative_restrict(s: WallStructure) -> RelativeRestriction:
             asym_walls.append(replace(w, support=tuple(zero_gens), rho=None))
         # fibration values on a saturated lattice basis of the support span
         span_basis = kernel_basis(
-            IntegerMatrix.from_rows([list(w.span_normal())]))
+            IntegerMatrix.from_rows([list(w.normal)]))
         vals = [sum(bvals[j] * v[j] for j in range(cx.n))
                 for v in span_basis]
         ind = gcd(*vals)

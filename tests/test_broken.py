@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from wallcross import linalg, ring
 from wallcross.broken import (
     alpha_trop,
     chambers_containing,
@@ -311,3 +312,30 @@ def test_round_trip_identity_on_all_lines():
         for d in enumerate_lines(s, (1, 0), x, decorated=True):
             t = decorated_to_type(d, s)
             assert type_to_line(t, s, x) == d
+
+
+# -- derived wall data -------------------------------------------------------
+
+def test_wall_data_is_derived_once_per_structure(monkeypatch):
+    """Repeated structure constants on one structure take one logarithm
+    per (wall, chart) and one conormal per wall."""
+    logs, kernels = [], []
+    log_unipotent, nullspace = ring.log_unipotent, linalg.nullspace
+
+    def counting_log(f):
+        logs.append(f.cone)
+        return log_unipotent(f)
+
+    def counting_nullspace(*args, **kwargs):
+        kernels.append(args)
+        return nullspace(*args, **kwargs)
+
+    monkeypatch.setattr(ring, "log_unipotent", counting_log)
+    monkeypatch.setattr(linalg, "nullspace", counting_nullspace)
+    s = quadrant(bound=3)
+    for p1, p2, r in [((1, 0), (0, 1), (1, 1)), ((1, 0), (1, 0), (2, 0)),
+                      ((0, 1), (1, 0), (1, 1)), ((2, 0), (0, 1), (1, 0))]:
+        alpha_trop(s, p1, p2, r)
+    charts = len(s.complex.maximal_cones)
+    assert 0 < len(logs) <= len(s.walls) * charts
+    assert 0 < len(kernels) <= len(s.walls)

@@ -84,13 +84,22 @@ def _keyless(b, *argv):
     return [*argv, str(path)]
 
 
+def _geometry_of_shape(b, data):
+    path = b["tmp"] / "shape.json"
+    path.write_text(json.dumps(data))
+    return ["validate", "-g", str(path)]
+
+
 @pytest.mark.parametrize("argv", [
     _truncated_geometry,
     lambda b: _keyless(b, "validate", "-g"),
     lambda b: ["theta", "-g", b["g"], "-t", b["t"], "-w", b["w"],
                "--p", "1,x", "--x", "1,2"],
     lambda b: _keyless(b, "scatter", "--instance"),
-], ids=["truncated-json", "missing-key", "bad-vector", "missing-trunc"])
+    lambda b: _geometry_of_shape(b, []),
+    lambda b: _geometry_of_shape(b, {"divisors": 5, "good_strata": []}),
+], ids=["truncated-json", "missing-key", "bad-vector", "missing-trunc",
+        "list-for-object", "number-for-list"])
 def test_unparsable_input_is_usage_error(bundle, capsys, argv):
     code, _, err = run(capsys, *argv(bundle))
     assert code == 2

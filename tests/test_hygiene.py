@@ -1,4 +1,5 @@
-"""Source hygiene: no module of the package imports a name it never uses."""
+"""Source hygiene: no module of the package imports a name it never uses,
+and no function imports from the package at call time."""
 
 from __future__ import annotations
 
@@ -28,6 +29,16 @@ def unused_imports(source: str) -> list[str]:
         imported.items(), key=lambda kv: kv[1]) if name not in used]
 
 
+def local_relative_imports(source: str) -> list[str]:
+    """Relative imports made inside a function body."""
+    tree = ast.parse(source)
+    return sorted({f"line {node.lineno}: {fn.name}"
+                   for fn in ast.walk(tree)
+                   if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for node in ast.walk(fn)
+                   if isinstance(node, ast.ImportFrom) and node.level > 0})
+
+
 def test_detector_flags_an_unused_import():
     assert unused_imports("import os\nimport sys\nsys.exit()\n") == \
         ["line 1: os"]
@@ -38,3 +49,16 @@ def test_detector_flags_an_unused_import():
 def test_no_unused_imports(module):
     with open(os.path.join(PACKAGE, module)) as fh:
         assert unused_imports(fh.read()) == []
+
+
+def test_detector_flags_a_local_relative_import():
+    source = ("from .a import b\nimport os\n\n"
+              "def f():\n    import json\n    from .c import d\n"
+              "    return b, d, json, os\n")
+    assert local_relative_imports(source) == ["line 6: f"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_local_relative_imports(module):
+    with open(os.path.join(PACKAGE, module)) as fh:
+        assert local_relative_imports(fh.read()) == []

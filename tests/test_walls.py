@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wallcross.errors import (
@@ -399,3 +400,38 @@ def test_blowup_five_walls_assemble_and_grade():
         # binomial shape: 1 + t^A z^-u
         assert len(w.function.terms) == 2
         assert w.function.constant_coefficient() == 1
+
+
+# -- wall conormals ----------------------------------------------------------
+
+def _minors(support):
+    """The maximal minors of the support: the rotated generator in
+    dimension two, the cross product in dimension three."""
+    if len(support) == 1:
+        (a, b), = support
+        return (-b, a)
+    (a1, a2, a3), (b1, b2, b3) = support
+    return (a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)
+
+
+_entry = st.integers(min_value=-9, max_value=9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    st.tuples(st.tuples(_entry, _entry)),
+    st.tuples(st.tuples(_entry, _entry, _entry),
+              st.tuples(_entry, _entry, _entry))))
+def test_normal_matches_minors(support):
+    minors = _minors(support)
+    assume(any(minors))  # the support spans a hyperplane
+    g = math.gcd(*minors)
+    oracle = tuple(x // g for x in minors)
+    n = len(support[0])
+    cone = tuple(range(n))
+    wall = Wall(cone=cone, support=support,
+                function=RingElement.one(cone, T2, n))
+    normal = wall.normal
+    assert math.gcd(*normal) == 1
+    assert all(sum(a * b for a, b in zip(normal, g)) == 0 for g in support)
+    assert normal in (oracle, tuple(-x for x in oracle))

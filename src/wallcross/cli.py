@@ -474,8 +474,9 @@ def main(argv=None) -> int:
     except TypeError as exc:
         # input JSON of the wrong shape, e.g. a list where an object is due
         return _diagnose("WrongShape", str(exc), 2)
-    except ValueError as exc:
-        # unparsable JSON (JSONDecodeError) or a malformed vector argument
+    except (ValueError, ZeroDivisionError) as exc:
+        # unparsable JSON (JSONDecodeError), a malformed vector argument, a
+        # non-integral vector entry or a coefficient with denominator 0
         return _diagnose(type(exc).__name__, str(exc), 2)
     except WallcrossError as exc:
         return _diagnose(type(exc).__name__, str(exc), 1)

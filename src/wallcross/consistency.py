@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cmp_to_key
+from itertools import takewhile
 
 from . import linalg
 from .broken import _asymptotic, _sample_in_chamber, _theta
@@ -26,7 +27,7 @@ from .errors import (
 )
 from .geometry import ConeComplex, PointInChart
 from .lattice import IntegerMatrix, smith_normal_form
-from .ring import RingElement, Truncation, exp_truncated
+from .ring import RingElement, Truncation, exp_truncated, integer_vector
 from .walls import (
     SlabData,
     SlabRingElement,
@@ -94,7 +95,7 @@ class LocalInstance:
         trunc = truncation_from_json(data["trunc"])
         inv = int(data.get("invariant_rank", 0))
         rays = tuple(
-            LocalRay(direction=tuple(int(x) for x in r["direction"]),
+            LocalRay(direction=integer_vector(r["direction"]),
                      function=RingElement.from_json(
                          r["function"], LOCAL_CHART, trunc, 2 + inv))
             for r in data["rays"])
@@ -276,10 +277,11 @@ def _witness(diff: RingElement):
     return {"A": list(A), "m": list(m), "coefficient": str(c)}
 
 
-def _theta_in_chamber(s, ch, p, seed):
+def _theta_in_chamber(s, ch, p, *seeds):
+    """(theta of p, sample point) at one point of ``ch`` per seed."""
     asymptotic = _asymptotic(s, p, ch.cone)
-    x = _sample_in_chamber(s, ch, asymptotic[2], seed)
-    return _theta(s, asymptotic, x, 0), x
+    xs = [_sample_in_chamber(s, ch, asymptotic[2], seed) for seed in seeds]
+    return [(_theta(s, asymptotic, x, 0), x) for x in xs]
 
 
 def patching_check(s: WallStructure, p_set: dict | None = None,
@@ -300,8 +302,7 @@ def patching_check(s: WallStructure, p_set: dict | None = None,
     # (1) chamber-interior invariance
     for ch in s.chambers:
         for p in p_set.get(tuple(ch.cone), ()):
-            t1, _ = _theta_in_chamber(s, ch, p, seed)
-            t2, _ = _theta_in_chamber(s, ch, p, seed + 1)
+            (t1, _), (t2, _) = _theta_in_chamber(s, ch, p, seed, seed + 1)
             diff = t1.sub(t2)
             loc = (tuple(ch.cone), ch.lower, ch.upper)
             if diff.is_zero():
@@ -320,8 +321,8 @@ def patching_check(s: WallStructure, p_set: dict | None = None,
         if below is None or above is None:
             continue
         for p in p_set.get(tuple(w.cone), ()):
-            t_src, x_src = _theta_in_chamber(s, above, p, seed)
-            t_dst, _ = _theta_in_chamber(s, below, p, seed)
+            [(t_src, x_src)] = _theta_in_chamber(s, above, p, seed)
+            [(t_dst, _)] = _theta_in_chamber(s, below, p, seed)
             crossed = cross_wall(t_src, w, source_side=x_src.coords)
             diff = crossed.sub(t_dst)
             loc = (tuple(w.cone), ray)
@@ -379,10 +380,10 @@ def _slab_lift_items(s: WallStructure, w, p_set, seed):
     extra_u = 1 - pos_u
     extra_u2 = 1 - pos_u2
     for p in p_set.get(side_u, ()):
-        theta_u, _ = _theta_in_chamber(s, ch_u, p, seed)
+        [(theta_u, _)] = _theta_in_chamber(s, ch_u, p, seed)
         # same global asymptotic direction, evaluated from the far chamber
         p_pic = PointInChart(side_u, [Fraction(c) for c in p], ambient=True)
-        theta_u2, _ = _theta_in_chamber(s, ch_u2, p_pic, seed)
+        [(theta_u2, _)] = _theta_in_chamber(s, ch_u2, p_pic, seed)
         lift = _slab_lift(slab, s.trunc, theta_u, theta_u2,
                           pos_u, extra_u, pos_u2, extra_u2)
         img_u = slab_localize(lift, side_u)
@@ -621,14 +622,24 @@ def _discrepancy(inst: LocalInstance, g: RingElement) -> RingElement:
         RingElement.one(LOCAL_CHART, inst.trunc, inst.n_exp))
 
 
+def _order_key(key):
+    A, m = key
+    d = primitive((-m[0], -m[1])) if (m[0], m[1]) != (0, 0) else (0, 0)
+    slope = Fraction(d[0], abs(d[0]) + abs(d[1])) if any(d) else Fraction(0)
+    return (_half(d), slope, A, m)
+
+
 def complete_codim0(inst: LocalInstance, joint=None,
                     max_weight: int | None = None) -> LocalInstance:
     """Insert outgoing rays until the loop is the identity, order by order.
 
     Deterministic: lowest curve-class weight first, then angular order of
-    the emitted directions.  The coefficient of each inserted factor is
-    solved for exactly (a linear probe at the current order), so the sign
-    conventions of the crossing automorphism are never hard-coded.
+    the emitted directions.  Once the loop is the identity below weight w,
+    a factor t^A z^m of weight w changes its weight-w part only in the term
+    t^A z^m.  So each weight takes one discrepancy per generator and one
+    probe instance holding a factor for every failing term; each
+    coefficient is solved for exactly from that linear response, so the
+    sign conventions of the crossing automorphism are never hard-coded.
     """
     if max_weight is None:
         max_weight = inst.trunc.max_weight()
@@ -640,46 +651,45 @@ def complete_codim0(inst: LocalInstance, joint=None,
     rays = list(inst.rays)
     gens = generators(inst)
     for w in range(1, max_weight + 1):
-        for _safety in range(256):
-            cur = replace(inst, rays=tuple(rays))
-            failing = {}
-            for g in gens:
-                disc = _discrepancy(cur, g)
-                for (A, m), c in disc.terms.items():
-                    if trunc.weight_of(A) == w:
-                        failing.setdefault((A, m), []).append((g, c))
-            if not failing:
-                break
-
-            def order_key(key):
-                A, m = key
-                d = primitive((-m[0], -m[1])) if (m[0], m[1]) != (0, 0) \
-                    else (0, 0)
-                slope = Fraction(d[0], abs(d[0]) + abs(d[1])) if any(d) \
-                    else Fraction(0)
-                return (_half(d), slope, A, m)
-
-            A, m = sorted(failing, key=order_key)[0]
-            if (m[0], m[1]) == (0, 0):
-                raise NonConvergent(
-                    f"discrepancy t^{list(A)} z^{list(m)} has no "
-                    "transverse direction to emit")
-            direction = primitive((-m[0], -m[1]))
+        cur = replace(inst, rays=tuple(rays))
+        failing = {}
+        for g in gens:
+            for (A, m), c in _discrepancy(cur, g).terms.items():
+                weight = trunc.weight_of(A)
+                if weight < w:
+                    raise NonConvergent(
+                        f"completion did not settle at weight {weight}")
+                if weight == w:
+                    failing.setdefault((A, m), []).append((g, c))
+        keys = sorted(failing, key=_order_key)
+        # each term before the first one without a transverse part
+        emit = [(A, m, primitive((-m[0], -m[1]))) for A, m in
+                takewhile(lambda key: any(key[1][:2]), keys)]
+        probe_rays = list(rays)
+        for A, m, direction in emit:
+            _merge_ray(probe_rays, direction, exp_truncated(
+                RingElement.monomial(A, m, 1, LOCAL_CHART, trunc)))
+        probe = replace(inst, rays=tuple(probe_rays))
+        responses = {}
+        factors = []
+        for A, m, direction in emit:
             g0, eps0 = failing[(A, m)][0]
-            probe = RingElement.monomial(A, m, 1, LOCAL_CHART, trunc)
-            probe_rays = list(rays)
-            _merge_ray(probe_rays, direction, exp_truncated(probe))
-            disc1 = _discrepancy(replace(inst, rays=tuple(probe_rays)), g0)
-            eps1 = disc1.coefficient(A, m)
-            denom = eps1 - eps0
+            if g0 not in responses:
+                responses[g0] = _discrepancy(probe, g0)
+            denom = responses[g0].coefficient(A, m) - eps0
             if denom == 0:
                 raise NonConvergent(
                     f"no ray along {direction} can absorb t^{list(A)} "
                     f"z^{list(m)}")
-            gamma = -eps0 / denom
-            _merge_ray(rays, direction, exp_truncated(probe.scale(gamma)))
-        else:
-            raise NonConvergent(f"completion did not settle at weight {w}")
+            factors.append((direction, exp_truncated(RingElement.monomial(
+                A, m, -eps0 / denom, LOCAL_CHART, trunc))))
+        if len(emit) < len(keys):
+            A, m = keys[len(emit)]
+            raise NonConvergent(
+                f"discrepancy t^{list(A)} z^{list(m)} has no "
+                "transverse direction to emit")
+        for direction, factor in factors:
+            _merge_ray(rays, direction, factor)
     done = replace(inst, rays=tuple(rays))
     ok, witness = identity_around(done, max_weight=max_weight)
     if not ok:

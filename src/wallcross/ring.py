@@ -111,7 +111,7 @@ class RingElement:
     zero coefficients are never stored.
     """
 
-    __slots__ = ("terms", "cone", "trunc", "n")
+    __slots__ = ("terms", "cone", "trunc", "n", "_powers")
 
     def __init__(self, terms: Mapping[TermKey, Fraction], cone,
                  trunc: Truncation, n: int):
@@ -129,6 +129,7 @@ class RingElement:
         self.cone = cone
         self.trunc = trunc
         self.n = n
+        self._powers: dict[int, RingElement] | None = None
 
     # -- constructors -------------------------------------------------------
 
@@ -227,18 +228,20 @@ class RingElement:
         return result
 
     def pow_int(self, k: int) -> "RingElement":
-        """Integer power; negative powers require a unipotent element."""
-        if k >= 0:
-            return self.pow_nonneg(k)
-        return invert(self).pow_nonneg(-k)
-
-    def map_monomials(self, fn: Callable[[CurveClass, Exponent, Fraction],
-                                         "RingElement"]) -> "RingElement":
-        """Sum of fn over the terms (fn returns a RingElement per term)."""
-        result = RingElement.zero(self.cone, self.trunc, self.n)
-        for (A, m), c in self.sorted_terms():
-            result = result.add(fn(A, m, c))
-        return result
+        """Integer power; negative powers require a unipotent element.
+        Each power is computed once and kept on the (immutable) element."""
+        if self._powers is None:
+            self._powers = {}
+        power = self._powers.get(k)
+        if power is None:
+            if k >= 0:
+                power = self.pow_nonneg(k)
+            elif k == -1:
+                power = invert(self)
+            else:
+                power = self.pow_int(-1).pow_nonneg(-k)
+            self._powers[k] = power
+        return power
 
     def _check_compatible(self, other: "RingElement"):
         if self.cone != other.cone:
@@ -259,13 +262,20 @@ class RingElement:
                   n: int) -> "RingElement":
         terms: dict[TermKey, Fraction] = {}
         for item in data:
-            key = (tuple(int(x) for x in item["A"]),
-                   tuple(int(x) for x in item["m"]))
+            key = (integer_vector(item["A"]), integer_vector(item["m"]))
             terms[key] = terms.get(key, Fraction(0)) + Fraction(item["c"])
         return cls(terms, cone, trunc, n)
 
 
 # -- module-level operations -------------------------------------------------
+
+def integer_vector(xs: Iterable) -> tuple[int, ...]:
+    """An integer vector read from JSON; a non-integral entry is an error."""
+    for x in xs:
+        if isinstance(x, float) and not x.is_integer():
+            raise ValueError(f"non-integral vector entry {x!r} in {xs!r}")
+    return tuple(int(x) for x in xs)
+
 
 def multiply(f: RingElement, g: RingElement) -> RingElement:
     return f.mul(g)

@@ -439,7 +439,8 @@ class RefinedStructure:
 
 
 def refine(s: WallStructure) -> WallStructure:
-    """Merge coincident-support walls; deterministic ordering."""
+    """Merge coincident-support walls; deterministic ordering.  A refined
+    structure is returned as it is, keeping the data cached on it."""
     merged: dict[tuple, Wall] = {}
     for w in sorted(s.walls, key=lambda w: (w.cone, w.support)):
         key = (w.cone, _cone_key(w.support))
@@ -448,8 +449,12 @@ def refine(s: WallStructure) -> WallStructure:
             merged[key] = replace(prev, function=prev.function.mul(w.function))
         else:
             merged[key] = w
-    walls = tuple(w for w in merged.values() if not w.function.is_one())
-    return s.with_walls(sorted(walls, key=lambda w: (w.cone, w.support)))
+    walls = sorted((w for w in merged.values() if not w.function.is_one()),
+                   key=lambda w: (w.cone, w.support))
+    if len(walls) == len(s.walls) and all(
+            a is b for a, b in zip(walls, s.walls)):
+        return s
+    return s.with_walls(walls)
 
 
 def _cone_key(support):
@@ -485,12 +490,19 @@ def planar_chambers(s: WallStructure) -> RefinedStructure:
 def apply_theta(f_wall: RingElement, normal: Sequence[int],
                 f: RingElement) -> RingElement:
     """The crossing automorphism z^m -> f_wall^<normal, m> z^m applied to f."""
-    def per_term(A, m, c):
-        pairing = sum(a * b for a, b in zip(normal, m))
-        factor = f_wall.pow_int(pairing)
-        return factor.mul(RingElement.monomial(A, m, c, f.cone, f.trunc))
-
-    return f.map_monomials(per_term)
+    if f.terms:
+        f_wall._check_compatible(f)
+    in_ideal = f.trunc.in_ideal
+    terms: dict = {}
+    for (A, m), c in f.terms.items():
+        factor = f_wall.pow_int(sum(a * b for a, b in zip(normal, m)))
+        for (A2, m2), c2 in factor.terms.items():
+            A3 = tuple(a + b for a, b in zip(A, A2))
+            if in_ideal(A3):
+                continue
+            key = (A3, tuple(a + b for a, b in zip(m, m2)))
+            terms[key] = terms.get(key, 0) + c * c2
+    return RingElement(terms, f.cone, f.trunc, f.n)
 
 
 def cross_wall(f: RingElement, wall: Wall, source_side: Sequence[int]

@@ -90,6 +90,14 @@ def _geometry_of_shape(b, data):
     return ["validate", "-g", str(path)]
 
 
+def _edited_instance(b, edit):
+    data = two_lines().to_json()
+    edit(data)
+    path = b["tmp"] / "instance.json"
+    path.write_text(json.dumps(data))
+    return ["scatter", "--instance", str(path)]
+
+
 @pytest.mark.parametrize("argv", [
     _truncated_geometry,
     lambda b: _keyless(b, "validate", "-g"),
@@ -98,8 +106,13 @@ def _geometry_of_shape(b, data):
     lambda b: _keyless(b, "scatter", "--instance"),
     lambda b: _geometry_of_shape(b, []),
     lambda b: _geometry_of_shape(b, {"divisors": 5, "good_strata": []}),
+    lambda b: _edited_instance(
+        b, lambda d: d["rays"][0]["function"][-1].update(c="1/0")),
+    lambda b: _edited_instance(
+        b, lambda d: d["rays"][0].update(direction=[1.5, 0])),
 ], ids=["truncated-json", "missing-key", "bad-vector", "missing-trunc",
-        "list-for-object", "number-for-list"])
+        "list-for-object", "number-for-list", "zero-denominator",
+        "non-integral-direction"])
 def test_unparsable_input_is_usage_error(bundle, capsys, argv):
     code, _, err = run(capsys, *argv(bundle))
     assert code == 2

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import importlib.util
+import json
 import math
+import os
+import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from wallcross import consistency, ring
 from wallcross.consistency import (
     LOCAL_CHART,
     JointReport,
@@ -255,6 +261,111 @@ def test_json_round_trip():
     assert LocalInstance.from_json(inst.to_json()) == inst
 
 
+def squared_lines(weight, shared):
+    """(1 + t1 x)^2 and (1 + t2 y)^2, or with t1 = t2 = t when shared."""
+    trunc = Truncation.degree(1 if shared else 2, weight)
+    rays = []
+    for i, a in enumerate(((1, 0), (0, 1))):
+        A = (1,) if shared else tuple(int(j == i) for j in range(2))
+        f = RingElement.one(LOCAL_CHART, trunc, 2).add(
+            mono(A, a, trunc=trunc)).pow_nonneg(2)
+        rays += [LocalRay(a, f), LocalRay(tuple(-x for x in a), f)]
+    return LocalInstance(trunc=trunc, rays=tuple(rays))
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["t", "t1-t2"])
+def test_completion_matches_gps_closed_form_at_weight_ten(shared):
+    """Gross-Pandharipande-Siebert (arXiv:0902.0779), l1 = l2 = 2: the ray
+    (-1,-1) carries (1 - t1 t2 xy)^-4 = sum binom(k+3, 3) (t1 t2 xy)^k, the
+    rays (-(k+1),-k) and (-k,-(k+1)) carry (1 + t1^(k+1) t2^k x^(k+1) y^k)^2
+    and its mirror, and there is no other ray."""
+    weight = 10
+    inst = squared_lines(weight, shared)
+    trunc = inst.trunc
+
+    def cls(a, b):
+        return (a + b,) if shared else (a, b)
+
+    def truncated(terms):
+        return {(A, m): Fraction(c) for (A, m), c in terms.items()
+                if trunc.weight_of(A) <= weight}
+
+    one = (cls(0, 0), (0, 0))
+    expected = {(-1, -1): truncated(
+        {(cls(k, k), (k, k)): math.comb(k + 3, 3)
+         for k in range(weight + 1)})}
+    for k in range(1, weight + 1):
+        for a, b in ((k + 1, k), (k, k + 1)):
+            A, m = cls(a, b), (a, b)
+            terms = truncated({one: 1, (A, m): 2,
+                               (tuple(2 * x for x in A), (2 * a, 2 * b)): 1})
+            if len(terms) > 1:
+                expected[(-a, -b)] = terms
+    start = time.perf_counter()
+    done = complete_codim0(inst, max_weight=weight)
+    elapsed = time.perf_counter() - start
+    new = {r.direction: r.function.terms
+           for r in nontrivial_rays(done) if r not in inst.rays}
+    assert new == expected
+    assert elapsed < 5.0, f"completion took {elapsed:.2f} s"
+
+
+def test_completion_computes_each_power_once_and_one_pass_per_weight(
+        monkeypatch):
+    """Every (element, exponent) power is computed once per completion, and
+    each weight takes at most eight loops: one discrepancy and one probe
+    response per generator."""
+    weight = 6
+    powers, keep = Counter(), []
+    loops = []
+    pow_nonneg, invert = RingElement.pow_nonneg, ring.invert
+    path_ordered_ = consistency.path_ordered
+
+    def counting_pow(self, k):
+        keep.append(self)
+        powers[(id(self), k)] += 1
+        return pow_nonneg(self, k)
+
+    def counting_invert(f):
+        keep.append(f)
+        powers[(id(f), -1)] += 1
+        return invert(f)
+
+    def counting_loop(*args, **kwargs):
+        loops.append(args)
+        return path_ordered_(*args, **kwargs)
+
+    inst = squared_lines(weight, shared=False)
+    monkeypatch.setattr(RingElement, "pow_nonneg", counting_pow)
+    monkeypatch.setattr(ring, "invert", counting_invert)
+    monkeypatch.setattr(consistency, "path_ordered", counting_loop)
+    done = complete_codim0(inst, max_weight=weight)
+    assert len(done.rays) > len(inst.rays)
+    assert powers and max(powers.values()) == 1
+    assert len(loops) <= 8 * weight + 4
+
+
+def _load_script(name):
+    path = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                        "scripts", name + ".py")
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_scatter_demo_emits_the_central_ray(monkeypatch, capsys):
+    demo = _load_script("scatter_demo")
+    monkeypatch.setattr("sys.argv", ["scatter_demo.py", "4"])
+    assert demo.main() == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["consistent"] is True and out["added_rays"] == 1
+    central = [r["function"] for r in out["rays"]
+               if r["direction"] == [-1, -1]]
+    assert central == [[{"A": [0], "m": [0, 0], "c": "1/1"},
+                        {"A": [2], "m": [1, 1], "c": "1/1"}]]
+
+
 # -- patching ------------------------------------------------------------------
 
 def test_wall_free_structure_passes_patching():
@@ -270,6 +381,22 @@ def test_quadrant_fixture_passes_patching():
     assert report.passed
     names = {i.name for i in report.items}
     assert names == {"chamber-invariance", "intertwining"}
+
+
+def test_patching_check_keeps_the_structure_caches(monkeypatch):
+    """An already refined structure keeps its chambers and wall logs, so a
+    second patching check takes no second logarithm."""
+    logs = []
+    log_unipotent = ring.log_unipotent
+
+    def counting_log(f):
+        logs.append(f)
+        return log_unipotent(f)
+
+    monkeypatch.setattr(ring, "log_unipotent", counting_log)
+    s = quadrant(bound=3)
+    assert patching_check(s).passed and patching_check(s).passed
+    assert len(logs) == 1
 
 
 def test_corrupted_wall_fails_intertwining():

@@ -30,7 +30,7 @@ from .errors import (
 from .geometry import GenericPointSampler, PointInChart
 from .linalg import cone_coords, mat_vec
 from .ring import RingElement, Truncation
-from .tropical import Edge, Leg, TropicalType, Vertex, _spine
+from .tropical import Edge, Leg, TropicalType, Vertex
 from .walls import Chamber, Wall, WallStructure, _cone_key, primitive
 
 ConeId = tuple
@@ -50,7 +50,7 @@ class Bend:
 
     ``delta_class``/``delta_exponent`` are what the bend adds to the
     monomial going toward the endpoint; ``mu`` (decorated lines only) lists
-    (wall log-term index, multiplicity) pairs.
+    (log-term index, multiplicity) pairs into the bend's ``_bend_logs``.
     """
 
     cone: ConeId
@@ -133,7 +133,7 @@ def transport_results(mono: RingElement, wall: Wall,
     if pairing <= 0:
         raise WrongSideCrossing(
             f"pairing {pairing} is not positive on the incoming side")
-    F = wall.function.pow_nonneg(pairing)
+    F = wall.function.pow_int(pairing)
     out = []
     for (A_e, e), c in F.sorted_terms():
         term = RingElement.monomial(A_e, e, c, mono.cone, mono.trunc)
@@ -152,7 +152,7 @@ def transport_result(mono: RingElement, wall: Wall, incoming_side: Sequence,
 # -- bend choices ------------------------------------------------------------
 
 def _undecorated_choices(f: RingElement, pairing: int, A_avail):
-    F = f.pow_nonneg(pairing)
+    F = f.pow_int(pairing)
     out = []
     for (A_e, e), c in F.sorted_terms():
         if not any(A_e) and not any(e):
@@ -320,12 +320,24 @@ def _slab_function(s: WallStructure, chart, rho, q):
             q_local = mat_vec(matrix, q)
         if w.contains_point(q_local) is None:
             continue
-        fw = s.complex.transport_element(w.function, w.cone, chart,
-                                         group_level=True)
+        fw = s.complex.transport_element(w.function, w.cone, chart)
         f = fw if f is None else f.mul(fw)
         if first is None:
             first = i
     return f, first
+
+
+def _bend_logs(s: WallStructure, chart, wall_index, slab=None):
+    """The log terms that a decorated bend's ``mu`` indexes.
+
+    A wall bend reads those of its wall in ``chart``; a bend on a slab,
+    given as (rho, crossing point), reads those of the product of the slab
+    functions there.
+    """
+    if slab is None:
+        return s.wall_logs(chart)[wall_index]
+    f, _first = _slab_function(s, chart, *slab)
+    return ring.log_unipotent(f).sorted_terms()
 
 
 def _same_asymptotic(cx, chart, m, p_cone, p):
@@ -355,7 +367,7 @@ def _trace(s, chart, point, A, m, bends_rev, trace_rev, states_rev, out,
         pairing = abs(_dot(w_k.normal, m))
         straight = [("wall", chart, _cone_key(s.walls[i].support), "straight")
                     for _t, i, _w, _q in events[:k]]
-        logs = s.wall_logs(chart)[i_k] if decorated else None
+        logs = _bend_logs(s, chart, i_k) if decorated else None
         for dA, dm, c, cid, mu in _bend_choices(w_k.function, pairing, A,
                                                 logs):
             A2 = tuple(a - b for a, b in zip(A, dA))
@@ -398,9 +410,7 @@ def _trace(s, chart, point, A, m, bends_rev, trace_rev, states_rev, out,
     choices = [((0,) * cx.curve_rank, (0,) * cx.n, Fraction(1),
                 "straight", None)]
     if f_slab is not None:
-        # the product of the slab functions keeps its own logarithm, so the
-        # bend's mu indexes the log terms of that product
-        logs = ring.log_unipotent(f_slab).sorted_terms() if decorated \
+        logs = _bend_logs(s, chart, slab_index, (rho, q)) if decorated \
             else None
         choices += _bend_choices(f_slab, pairing, A, logs)
     for dA, dm, c, cid, mu in choices:
@@ -615,7 +625,8 @@ def decorated_to_type(d: DecoratedBrokenLine,
     for bi, b in enumerate(line.bends):
         if b.mu is None:
             continue
-        logs = s.wall_logs(b.cone)[b.wall_index]
+        logs = _bend_logs(s, b.cone, b.wall_index,
+                          (b.cell, b.point) if b.on_slab else None)
         for j, mult in b.mu:
             (A_j, e_j), _c = logs[j]
             for _copy in range(mult):
@@ -631,88 +642,20 @@ def decorated_to_type(d: DecoratedBrokenLine,
 
 def type_to_line(t: TropicalType, s: WallStructure,
                  x: PointInChart) -> DecoratedBrokenLine:
-    """Reconstruct the decorated broken line of a type ending at x."""
-    cx, trunc = s.complex, s.trunc
+    """The decorated broken line ending at x whose type is ``t``.
+
+    The inverse of ``decorated_to_type``: ``t`` must be given as that
+    function writes it, in the same vertex and edge order.  The candidates
+    are the decorated lines with the inc leg's exponent as asymptotic
+    exponent; the first whose type equals ``t`` is returned.
+    """
     out = t.leg_with_role("out")
     inc = t.leg_with_role("inc")
     if out is None or inc is None:
         raise InadmissibleType("a broken-line type needs inc and out legs")
     m_final = tuple(-u for u in out[1].u)
-    p_vec = tuple(inc[1].u)
-    # trivial type: replay the unbent enumeration
-    spine_path = _spine_path(t, inc[1].v, out[1].v)
-    if len(t.vertices) == 1 and not t.edges:
-        if m_final != p_vec:
-            raise InadmissibleType("unbent line must keep its exponent")
-        lines = enumerate_lines(s, p_vec, x, decorated=True)
-        for d in lines:
-            if not d.line.bends:
-                return d
-        raise EndpointOutsideFamily(
-            "no unbent line with this exponent reaches the endpoint")
-    # reconstruct bend data along the spine
-    expected = _expected_bends(t, spine_path)
-    for d in enumerate_lines(s, p_vec, x, decorated=True):
-        if _matches(d, s, expected, m_final):
+    for d in enumerate_lines(s, tuple(inc[1].u), x, decorated=True):
+        if d.line.m_beta == m_final and decorated_to_type(d, s) == t:
             return d
     raise EndpointOutsideFamily(
         "no broken line of this type reaches the endpoint")
-
-
-def _spine_path(t: TropicalType, start, goal):
-    spine, _edges = _spine(t)
-    adj = {}
-    for e in t.edges:
-        adj.setdefault(e.v[0], []).append(e.v[1])
-        adj.setdefault(e.v[1], []).append(e.v[0])
-    path = [start]
-    prev = None
-    while path[-1] != goal:
-        nxt = [w for w in adj.get(path[-1], []) if w != prev and w in spine]
-        if not nxt:
-            raise InadmissibleType("legs are not connected through the tree")
-        prev = path[-1]
-        path.append(nxt[0])
-    return path
-
-
-def _expected_bends(t, spine_path):
-    """Per spine vertex: the multiset of (leaf class, kick exponent)."""
-    expected = []
-    spine_set = set(spine_path)
-    for vi in spine_path:
-        contributions = []
-        for e in t.edges:
-            leaf, u = None, None
-            if e.v[1] == vi and e.v[0] not in spine_set:
-                leaf, u = e.v[0], tuple(-x for x in e.u)
-            elif e.v[0] == vi and e.v[1] not in spine_set:
-                leaf, u = e.v[1], e.u
-            if leaf is not None:
-                contributions.append((tuple(t.vertices[leaf].A or ()),
-                                      tuple(u)))
-        expected.append(sorted(contributions))
-    return expected
-
-
-def _bend_contributions(b: Bend, s: WallStructure):
-    """The bend's mu expanded into (log-term class, exponent) pairs."""
-    logs = s.wall_logs(b.cone)[b.wall_index]
-    out = []
-    for j, mult in (b.mu or ()):
-        (A_j, e_j), _c = logs[j]
-        out.extend([(tuple(A_j), tuple(e_j))] * mult)
-    return sorted(out)
-
-
-def _matches(d: DecoratedBrokenLine, s: WallStructure, expected,
-             m_final) -> bool:
-    line = d.line
-    if tuple(line.m_beta) != tuple(m_final):
-        return False
-    if len(line.bends) != len(expected):
-        return False
-    for b, contribs in zip(line.bends, expected):
-        if _bend_contributions(b, s) != contribs:
-            return False
-    return True

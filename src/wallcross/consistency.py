@@ -629,7 +629,7 @@ def _order_key(key):
     return (_half(d), slope, A, m)
 
 
-def complete_codim0(inst: LocalInstance, joint=None,
+def complete_codim0(inst: LocalInstance,
                     max_weight: int | None = None) -> LocalInstance:
     """Insert outgoing rays until the loop is the identity, order by order.
 

@@ -201,15 +201,16 @@ class ConeComplex:
         return tuple(tuple(row) for row in result)
 
     def transport_element(self, f: ring.RingElement, sigma: ConeId,
-                          sigma2: ConeId,
-                          group_level: bool = False) -> ring.RingElement:
+                          sigma2: ConeId) -> ring.RingElement:
+        """f in the sigma2 chart, transported at group level (a monomial
+        may pair negatively with the conormal)."""
         if tuple(sigma) == tuple(sigma2):
             return f
         matrix, kink = self.chart_transition(sigma, sigma2)
         rho = tuple(sorted(set(sigma) & set(sigma2)))
         normal = self.normal_into(sigma, rho)
         return ring.transport(f, matrix, normal, kink, tuple(sigma2),
-                              group_level=group_level)
+                              group_level=True)
 
     # -- relative structure --------------------------------------------------
 
@@ -279,11 +280,11 @@ def build_complex(divisors: DivisorTable, good_strata: Iterable[Sequence[int]],
     kk = _as_mapping(kinks, "rho", "class")
     if curve_rank is None:
         curve_rank = next((len(v) for v in kk.values()), 0)
-    kk = {k: tuple(int(x) for x in v) for k, v in kk.items()}
+    kk = {k: ring.integer_vector(v) for k, v in kk.items()}
 
     cx = ConeComplex(n=n, curve_rank=curve_rank, divisors=divisors,
                      strata=frozenset(strata), cones=cones,
-                     intersections={k: tuple(int(x) for x in v)
+                     intersections={k: ring.integer_vector(v)
                                     for k, v in inter.items()},
                      kinks=kk, relative=relative)
     validate_complex(cx)
@@ -453,14 +454,13 @@ class GenericPointSampler:
 
     def sample(self, cone: ConeId, n: int,
                hyperplanes: Sequence[Sequence] = (),
-               base: Sequence | None = None,
-               scale: int = 1) -> PointInChart:
+               base: Sequence | None = None) -> PointInChart:
         for _attempt in range(64):
             coords = []
             for i in range(n):
                 p = _PRIMES[i % len(_PRIMES)]
                 num = self._rng.randint(1, p - 1)
-                c = Fraction(num * scale, p)
+                c = Fraction(num, p)
                 if base is not None:
                     c += Fraction(base[i])
                 coords.append(c)

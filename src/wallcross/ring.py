@@ -78,8 +78,7 @@ class Truncation:
     def from_generators(cls, curve_rank: int,
                         generators: Iterable[Sequence[int]]) -> "Truncation":
         return cls(curve_rank=curve_rank,
-                   generators=tuple(tuple(int(x) for x in g)
-                                    for g in generators))
+                   generators=tuple(integer_vector(g) for g in generators))
 
     def in_ideal(self, A: Sequence[int]) -> bool:
         if len(A) != self.curve_rank:

@@ -330,22 +330,29 @@ def _k_tau(t: TropicalType, cx: ConeComplex, uc: UniversalCone) -> int:
     if out is None:
         return 1
     _i, leg = out
-    # integer solutions of the equalities, with one extra leg parameter
-    nvars = uc.nvars + 1
-    rows = [list(r) + [0] for r in uc.equalities]
-    if not rows:
-        rows = [[0] * nvars]
-    lat = kernel_basis(IntegerMatrix.from_rows(rows))
-    images = []
-    for b in lat:
-        img = [b[uc.vertex_offset[leg.v] + j] + b[-1] * leg.u[j]
-               for j in range(n)]
-        images.append(img)
+    images = [_leg_point(uc, b, leg, uc.nvars, n)
+              for b in _leg_lattice(uc, 1)]
     if not images:
         return 1
     mat = IntegerMatrix.from_rows([[img[j] for img in images]
                                    for j in range(n)])
     return cokernel_order(mat, torsion_only=True)
+
+
+def _leg_lattice(uc: UniversalCone, k: int):
+    """Integral basis of the solutions of the type's equalities, with k
+    free leg parameters appended after the universal-cone variables."""
+    nvars = uc.nvars + k
+    rows = [list(r) + [0] * k for r in uc.equalities]
+    if not rows:
+        rows = [[0] * nvars]
+    return kernel_basis(IntegerMatrix.from_rows(rows))
+
+
+def _leg_point(uc: UniversalCone, vec, leg: Leg, pos: int, n: int):
+    """The point of ``leg`` at the parameter vec[pos] along it."""
+    return [vec[uc.vertex_offset[leg.v] + j] + vec[pos] * leg.u[j]
+            for j in range(n)]
 
 
 def _spine(t: TropicalType):
@@ -510,50 +517,28 @@ class MultiplicityResult:
     epsilon: tuple  # the integer matrix rows of the difference map
 
 
-def _enlarged_lattice(piece: SplitPiece, cx: ConeComplex):
-    """Integral basis of the enlarged cone's lattice with leg points.
-
-    Variables: the universal-cone variables, then one parameter per gluing
-    leg.  Returns (universal cone, extra offsets, lattice basis rows).
-    """
-    uc = universal_cone(piece.type, cx)
-    extra = len(piece.gluing_legs)
-    nvars = uc.nvars + extra
-    rows = [list(r) + [0] * extra for r in uc.equalities]
-    if not rows:
-        rows = [[0] * nvars]
-    lat = kernel_basis(IntegerMatrix.from_rows(rows))
-    return uc, nvars, lat
-
-
-def _leg_point(piece, uc, vec, leg_index, param_pos, n):
-    leg = piece.type.legs[leg_index]
-    return [vec[uc.vertex_offset[leg.v] + j] + vec[param_pos] * leg.u[j]
-            for j in range(n)]
-
-
 def _difference_columns(pieces: Sequence[SplitPiece],
                         edges: Sequence[GluingEdge], cx: ConeComplex):
     """The gluing difference map on the pieces' enlarged lattice bases.
 
-    One column per domain basis vector (block per piece): for each gluing
-    edge, the first leg point minus the second, counting only legs on the
-    vector's own piece.
+    Each piece's enlarged lattice has the universal-cone variables, then
+    one parameter per gluing leg.  One column per domain basis vector
+    (block per piece): for each gluing edge, the first leg point minus the
+    second, counting only legs on the vector's own piece.
     """
     n = cx.n
     columns = []
-    data = [_enlarged_lattice(p, cx) for p in pieces]
-    for bi, (piece, (uc, nvars, lat)) in enumerate(zip(pieces, data)):
-        for vec in lat:
+    for bi, piece in enumerate(pieces):
+        uc = universal_cone(piece.type, cx)
+        for vec in _leg_lattice(uc, len(piece.gluing_legs)):
             col = []
             for e in edges:
                 contrib = [0] * n
                 for sign, (pi, li) in zip((1, -1), e.ends):
                     if pi != bi:
                         continue
-                    pos = nvars - len(piece.gluing_legs) + \
-                        piece.gluing_legs.index(li)
-                    pt = _leg_point(piece, uc, vec, li, pos, n)
+                    pos = uc.nvars + piece.gluing_legs.index(li)
+                    pt = _leg_point(uc, vec, piece.type.legs[li], pos, n)
                     contrib = [a + sign * b for a, b in zip(contrib, pt)]
                 col.append(contrib)
             columns.append(col)

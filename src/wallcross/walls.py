@@ -104,7 +104,7 @@ class WallStructure:
         if chart not in self._logs_by_chart:
             self._logs_by_chart[chart] = {
                 i: ring.log_unipotent(self.complex.transport_element(
-                    w.function, w.cone, chart, group_level=True)
+                    w.function, w.cone, chart)
                 ).sorted_terms()
                 for i, w in enumerate(self.walls)
                 if w.cone == chart
@@ -155,7 +155,7 @@ class WallStructure:
                         f"{x} lies on two transversal walls")
             seen_spans.append(span)
             result = result.mul(self.complex.transport_element(
-                w.function, w.cone, tuple(x.cone), group_level=True))
+                w.function, w.cone, tuple(x.cone)))
         return result
 
     # -- serialization -------------------------------------------------------
@@ -181,7 +181,7 @@ class WallStructure:
             f = RingElement.from_json(item["function"], cone, trunc, cx.n)
             rho = tuple(item["rho"]) if item.get("rho") is not None else None
             walls.append(Wall(cone=cone,
-                              support=tuple(tuple(int(x) for x in g)
+                              support=tuple(ring.integer_vector(g)
                                             for g in item["support"]),
                               function=f, rho=rho))
         return cls(complex=cx, trunc=trunc, walls=tuple(walls),
@@ -282,9 +282,9 @@ def assemble_canonical(cx: ConeComplex, counts: Iterable[Mapping],
     kvals: dict[tuple, int] = {}
     for entry in counts:
         cone = tuple(entry["max_cone"])
-        support = tuple(tuple(int(x) for x in g) for g in entry["support"])
-        u = tuple(int(x) for x in entry["u"])
-        A = tuple(int(x) for x in entry["A"])
+        support = tuple(ring.integer_vector(g) for g in entry["support"])
+        u = ring.integer_vector(entry["u"])
+        A = ring.integer_vector(entry["A"])
         if not any(u):
             raise InadmissibleWallDirection("wall direction must be nonzero")
         if all(a == 0 for a in A):
@@ -646,8 +646,7 @@ def slab_localize(e: SlabRingElement, side: ConeId) -> RingElement:
     extra = next(j for j in range(n) if j not in positions)
     f = slab.f_slab
     if not plus_side:
-        f = cx.transport_element(f, slab.side_u, slab.side_u2,
-                                 group_level=True)
+        f = cx.transport_element(f, slab.side_u, slab.side_u2)
     result = RingElement.zero(side, e.trunc, n)
     for (A, mr, zp, zm), c in sorted(e.terms.items()):
         count = zm if plus_side else zp

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
+from collections import Counter
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -18,6 +21,7 @@ from wallcross.broken import (
     type_to_line,
 )
 from wallcross.errors import (
+    EndpointOutsideFamily,
     NonGenericEndpoint,
     WrongSideCrossing,
 )
@@ -25,6 +29,8 @@ from wallcross.geometry import DivisorTable, PointInChart, build_complex
 from wallcross.ring import RingElement, Truncation
 from wallcross.tropical import classify
 from wallcross.walls import Wall, WallStructure, cross_wall
+
+from tests.test_walls import two_cell_complex
 
 CONE = (0, 1)
 
@@ -314,7 +320,114 @@ def test_round_trip_identity_on_all_lines():
             assert type_to_line(t, s, x) == d
 
 
+@pytest.mark.parametrize("change", [dict(cone=(0,)), dict(A=(1,)),
+                                    dict(rays=((1, 2),))],
+                         ids=["cell", "class", "rays"])
+def test_type_with_a_changed_spine_vertex_has_no_line(change):
+    """A type differing from a line's type in one spine vertex (its cell,
+    curve-class decoration or wall rays) is the type of no line."""
+    s = quadrant(bound=3)
+    x = pt(3, 7)
+    changed = 0
+    for p in [(1, 0), (2, 0), (2, 1)]:
+        for d in enumerate_lines(s, p, x, decorated=True):
+            t = decorated_to_type(d, s)
+            for i in range(len(d.line.bends)):
+                vertices = list(t.vertices)
+                vertices[i] = dataclasses.replace(vertices[i], **change)
+                with pytest.raises(EndpointOutsideFamily):
+                    type_to_line(dataclasses.replace(
+                        t, vertices=tuple(vertices)), s, x)
+                changed += 1
+    assert changed >= 10
+
+
+# -- two charts --------------------------------------------------------------
+
+def two_cell(number, slabs=(), bound=4):
+    """Charts (0,1) and (0,2) glued along the ray of D0; each slab is
+    (chart, class, exponent) of a function 1 + t^class z^exponent on it."""
+    cx = two_cell_complex(number=number)
+    trunc = Truncation.degree(1, bound)
+    walls = tuple(
+        Wall(cone=chart, support=((1, 0),), rho=(0,),
+             function=RingElement.one(chart, trunc, 2).add(
+                 RingElement.monomial(A, m, 1, chart, trunc)))
+        for chart, A, m in slabs)
+    return WallStructure(complex=cx, trunc=trunc, walls=walls)
+
+
+X_OTHER_CHART = PointInChart((0, 2), (Fraction(1, 3), Fraction(2, 7)),
+                             ambient=True)
+
+
+@pytest.mark.parametrize("number", [-1, 0, 1])
+@pytest.mark.parametrize("a,b", [(0, 2), (1, 2), (3, 1)])
+def test_theta_across_the_chart_transition(number, a, b):
+    """theta of p = (a, b) in chart (0,1) at a point of chart (0,2): the
+    transition sends z^(a,b) to t^b z^(a-kb,-b); the slab 1 + t z^(1,0)
+    multiplies it by (1 + t z^(1,0))^b, truncated."""
+    p = PointInChart((0, 1), (a, b), ambient=True)
+    s = two_cell(number)
+    assert theta(s, p, X_OTHER_CHART) == RingElement.monomial(
+        (b,), (a - number * b, -b), 1, (0, 2), s.trunc)
+    for chart in [(0, 1), (0, 2)]:
+        s = two_cell(number, [(chart, (1,), (1, 0))])
+        expected = RingElement.zero((0, 2), s.trunc, 2)
+        for j in range(b + 1):
+            expected = expected.add(RingElement.monomial(
+                (b + j,), (a - number * b + j, -b), comb(b, j), (0, 2),
+                s.trunc))
+        assert theta(s, p, X_OTHER_CHART) == expected
+
+
+@pytest.mark.parametrize("number", [-1, 0, 1])
+def test_slab_bend_leaves_sum_to_the_kick(number):
+    """With one slab stored in each chart, the leaves of a decorated slab
+    bend's type carry the log terms of the product of both slab functions,
+    so their classes and exponents sum to the bend's."""
+    s = two_cell(number, [((0, 1), (1,), (1, 0)), ((0, 2), (2,), (1, 0))])
+    bends = 0
+    for a, b in [(0, 2), (1, 2), (3, 1)]:
+        p = PointInChart((0, 1), (a, b), ambient=True)
+        for d in enumerate_lines(s, p, X_OTHER_CHART, decorated=True):
+            t = decorated_to_type(d, s)
+            spine = len(d.line.bends)
+            for bi, bend in enumerate(d.line.bends):
+                if not bend.on_slab:
+                    continue
+                leaves = [e for e in t.edges
+                          if e.v[1] == bi and e.v[0] >= spine]
+                A, m = [0], [0, 0]
+                for e in leaves:
+                    A = [x + y for x, y in zip(A, t.vertices[e.v[0]].A)]
+                    m = [x - y for x, y in zip(m, e.u)]
+                assert (tuple(A), tuple(m)) == \
+                    (bend.delta_class, bend.delta_exponent)
+                bends += 1
+    assert bends > 0
+
+
 # -- derived wall data -------------------------------------------------------
+
+def test_line_bends_compute_each_wall_power_once(monkeypatch):
+    """Bends reuse the powers kept on the wall function: two theta
+    functions on one structure compute each (element, exponent) power
+    once."""
+    powers, keep = Counter(), []
+    pow_nonneg = RingElement.pow_nonneg
+
+    def counting_pow(self, k):
+        keep.append(self)
+        powers[(id(self), k)] += 1
+        return pow_nonneg(self, k)
+
+    s = quadrant(bound=3)
+    monkeypatch.setattr(RingElement, "pow_nonneg", counting_pow)
+    for p in [(1, 0), (2, 1)]:
+        theta(s, p, pt(3, 7))
+    assert powers and max(powers.values()) == 1
+
 
 def test_wall_data_is_derived_once_per_structure(monkeypatch):
     """Repeated structure constants on one structure take one logarithm

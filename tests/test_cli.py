@@ -90,6 +90,23 @@ def _geometry_of_shape(b, data):
     return ["validate", "-g", str(path)]
 
 
+def _edited_walls(b):
+    data = json.loads(open(b["w"]).read())
+    data["walls"][0]["support"] = [[1.5, 1.9]]
+    path = b["tmp"] / "walls-edited.json"
+    path.write_text(json.dumps(data))
+    return ["theta", "-g", b["g"], "-t", b["t"], "-w", str(path),
+            "--p", "1,0", "--x", "1,2"]
+
+
+def _non_integral_count(b):
+    path = b["tmp"] / "counts.json"
+    path.write_text(json.dumps({"counts": [
+        {"max_cone": [0, 1], "support": [[1, 1]], "u": [1.5, 1.5],
+         "A": [1], "W": 1}]}))
+    return ["walls", "-g", b["g"], "-t", b["t"], "-c", str(path)]
+
+
 def _edited_instance(b, edit):
     data = two_lines().to_json()
     edit(data)
@@ -110,9 +127,12 @@ def _edited_instance(b, edit):
         b, lambda d: d["rays"][0]["function"][-1].update(c="1/0")),
     lambda b: _edited_instance(
         b, lambda d: d["rays"][0].update(direction=[1.5, 0])),
+    _edited_walls,
+    _non_integral_count,
 ], ids=["truncated-json", "missing-key", "bad-vector", "missing-trunc",
         "list-for-object", "number-for-list", "zero-denominator",
-        "non-integral-direction"])
+        "non-integral-direction", "non-integral-support",
+        "non-integral-count"])
 def test_unparsable_input_is_usage_error(bundle, capsys, argv):
     code, _, err = run(capsys, *argv(bundle))
     assert code == 2

@@ -1,16 +1,21 @@
 """Source hygiene: no module of the package imports a name it never uses,
-and no function imports from the package at call time."""
+no function imports from the package at call time, and no top-level
+function or class of the package goes unnamed outside its definition."""
 
 from __future__ import annotations
 
 import ast
 import os
+from collections import Counter
 
 import pytest
 
 PACKAGE = os.path.join(os.path.dirname(__file__), os.pardir, "src",
                        "wallcross")
 MODULES = sorted(f for f in os.listdir(PACKAGE) if f.endswith(".py"))
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+SOURCE_DIRS = ("src", "tests", "perfbench", "scripts")
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def unused_imports(source: str) -> list[str]:
@@ -62,3 +67,72 @@ def test_detector_flags_a_local_relative_import():
 def test_no_local_relative_imports(module):
     with open(os.path.join(PACKAGE, module)) as fh:
         assert local_relative_imports(fh.read()) == []
+
+
+def _names(node):
+    """Names read, attributes taken and names imported under ``node``."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, (ast.Import, ast.ImportFrom)):
+            for alias in sub.names:
+                yield alias.name
+
+
+def references(source: str) -> Counter:
+    """How often each name is used in a module, not counting a top-level
+    definition's uses of its own name (recursion, ``Cls.method`` inside the
+    class)."""
+    tree = ast.parse(source)
+    counts = Counter(_names(tree))
+    for node in tree.body:
+        if isinstance(node, DEFINITIONS):
+            counts[node.name] -= sum(1 for name in _names(node)
+                                     if name == node.name)
+    return counts
+
+
+def orphans(definitions: dict[str, str], sources: list[str]) -> list[str]:
+    """Top-level functions and classes of the package modules
+    (module name -> source) that no source names outside their own
+    definition."""
+    used = Counter()
+    for source in sources:
+        used.update(references(source))
+    return sorted(f"{module}.{node.name}"
+                  for module, source in definitions.items()
+                  for node in ast.parse(source).body
+                  if isinstance(node, DEFINITIONS) and used[node.name] <= 0)
+
+
+def _python_files():
+    for top in SOURCE_DIRS:
+        for dirpath, _dirs, files in os.walk(os.path.join(ROOT, top)):
+            for name in sorted(files):
+                if name.endswith(".py"):
+                    yield os.path.join(dirpath, name)
+
+
+def test_detector_flags_an_orphaned_helper():
+    module = ("def used():\n    return 1\n\n"
+              "def orphan(n):\n    return orphan(n - 1) if n else used()\n\n"
+              "class Lonely:\n    def make(self):\n        return Lonely()\n")
+    caller = "from pkg.mod import used as u\nu()\n"
+    assert orphans({"mod": module}, [module, caller]) == \
+        ["mod.Lonely", "mod.orphan"]
+    assert orphans({"mod": module}, [module, caller, "pkg.orphan\n"]) == \
+        ["mod.Lonely"]
+
+
+def test_no_orphaned_helpers():
+    definitions = {}
+    for module in MODULES:
+        with open(os.path.join(PACKAGE, module)) as fh:
+            definitions[module[:-3]] = fh.read()
+    sources = []
+    for path in _python_files():
+        with open(path) as fh:
+            sources.append(fh.read())
+    assert orphans(definitions, sources) == []

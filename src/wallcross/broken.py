@@ -200,16 +200,6 @@ def _bend_choices(f, pairing, A_avail, logs):
 
 # -- candidate monomials and genericity --------------------------------------
 
-def _adjacent_charts(cx, chart):
-    out = []
-    for rho in cx.interior_codim1():
-        if set(rho) <= set(chart):
-            other = [s for s in cx.max_cones_containing(rho) if s != chart]
-            if other:
-                out.append((rho, other[0]))
-    return out
-
-
 def _candidate_monomials(s: WallStructure, p_cone, p):
     """Superset of reachable segment monomials, per chart, under truncation."""
     cx, trunc = s.complex, s.trunc
@@ -227,13 +217,11 @@ def _candidate_monomials(s: WallStructure, p_cone, p):
                 if state not in seen:
                     seen.add(state)
                     frontier.append(state)
-        for rho, chart2 in _adjacent_charts(cx, chart):
-            matrix, kink = cx.chart_transition(chart, chart2)
-            pos = chart.index(next(d for d in chart if d not in rho))
-            A2 = tuple(a + m[pos] * k for a, k in zip(A, kink))
+        for c in cx.crossings(chart).values():
+            A2 = tuple(a + m[c.pos] * k for a, k in zip(A, c.kink))
             if any(a < 0 for a in A2) or trunc.in_ideal(A2):
                 continue
-            state = (chart2, A2, mat_vec(matrix, m))
+            state = (c.target, A2, mat_vec(c.matrix, m))
             if state not in seen:
                 seen.add(state)
                 frontier.append(state)
@@ -316,8 +304,7 @@ def _slab_function(s: WallStructure, chart, rho, q):
             continue
         q_local = q
         if w.cone != chart:
-            matrix, _k = s.complex.chart_transition(chart, w.cone)
-            q_local = mat_vec(matrix, q)
+            q_local = mat_vec(s.complex.crossing_to(chart, w.cone).matrix, q)
         if w.contains_point(q_local) is None:
             continue
         fw = s.complex.transport_element(w.function, w.cone, chart)
@@ -344,14 +331,10 @@ def _same_asymptotic(cx, chart, m, p_cone, p):
     if tuple(chart) == tuple(p_cone):
         return tuple(m) == tuple(p)
     try:
-        matrix, _kink = cx.chart_transition(chart, p_cone)
+        c = cx.crossing_to(chart, p_cone)
     except NotAdjacent:
         return False
-    rho = tuple(sorted(set(chart) & set(p_cone)))
-    pos = chart.index(next(d for d in chart if d not in rho))
-    if m[pos] != 0:
-        return False
-    return mat_vec(matrix, m) == tuple(p)
+    return m[c.pos] == 0 and mat_vec(c.matrix, m) == tuple(p)
 
 
 def _trace(s, chart, point, A, m, bends_rev, trace_rev, states_rev, out,
@@ -398,13 +381,12 @@ def _trace(s, chart, point, A, m, bends_rev, trace_rev, states_rev, out,
                         list(reversed(states_rev))))
         return
     exit_t, exit_pos = exit_info
-    rho = tuple(sorted(d for j, d in enumerate(chart) if j != exit_pos))
-    if not cx.is_interior_codim1(rho):
+    crossing = cx.crossings(chart).get(exit_pos)
+    if crossing is None:
         return  # the ray leaves through the boundary of B
+    rho, chart2, matrix, kink = (crossing.rho, crossing.target,
+                                 crossing.matrix, crossing.kink)
     q = tuple(c + exit_t * x for c, x in zip(point, m))
-    chart2 = next(sig for sig in cx.max_cones_containing(rho)
-                  if sig != chart)
-    matrix, kink = cx.chart_transition(chart, chart2)
     f_slab, slab_index = _slab_function(s, chart, rho, q)
     pairing = -m[exit_pos]
     choices = [((0,) * cx.curve_rank, (0,) * cx.n, Fraction(1),

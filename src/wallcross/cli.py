@@ -337,6 +337,11 @@ def _cmd_render(args):
         inst = LocalInstance.from_json(_load_json(args.instance))
         _emit(args, render_svg(None, instance=inst), binary=True)
         return 0
+    missing = [f"--{name}" for name in ("geometry", "truncation", "walls")
+               if getattr(args, name) is None]
+    if missing:
+        return _diagnose("UsageError", "render needs --instance or "
+                         + ", ".join(missing), 2)
     s = _structure(args)
     lines = ()
     if args.p and args.x:
@@ -349,8 +354,17 @@ def _cmd_render(args):
 
 # -- argument parsing ---------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a command-line error as a usage line and the JSON
+    diagnostic, then exits 2; subcommand parsers share the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        sys.exit(_diagnose("UsageError", message, 2))
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wallcross",
         description="Exact wall structures, broken lines and theta "
                     "functions on integral affine cone complexes.")

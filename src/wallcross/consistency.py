@@ -356,18 +356,19 @@ def _adjacent_chamber(s, cone, ray, side):
 def _slab_lift_items(s: WallStructure, w, p_set, seed):
     """Existence/uniqueness of the two-sided slab lift of each theta."""
     cx = s.complex
-    rho = tuple(sorted(w.rho))
-    sides = [tuple(c) for c in cx.max_cones_containing(rho)]
-    if len(sides) != 2:
-        return []
     side_u = tuple(w.cone)
-    side_u2 = next(c for c in sides if c != side_u)
-    f_slab = w.function
-    slab = SlabData(cx=cx, rho=rho, side_u=side_u, side_u2=side_u2,
-                    f_slab=f_slab)
+    crossing = next((c for c in cx.crossings(side_u).values()
+                     if c.rho == tuple(sorted(w.rho))), None)
+    if crossing is None:
+        return []
+    side_u2 = crossing.target
+    slab = SlabData(cx=cx, rho=crossing.rho, side_u=side_u, side_u2=side_u2,
+                    f_slab=w.function)
     items = []
-    pos_u = side_u.index(rho[0])
-    pos_u2 = side_u2.index(rho[0])
+    # chart positions of the ray off the slab, then of the slab's ray
+    extra_u = crossing.pos
+    extra_u2 = cx.crossing_to(side_u2, side_u).pos
+    pos_u, pos_u2 = 1 - extra_u, 1 - extra_u2
     ray_u = tuple(1 if j == pos_u else 0 for j in range(2))
     ray_u2 = tuple(1 if j == pos_u2 else 0 for j in range(2))
     # chambers hugging the slab from either side
@@ -377,8 +378,6 @@ def _slab_lift_items(s: WallStructure, w, p_set, seed):
              or _adjacent_chamber(s, side_u2, ray_u2, "upper"))
     if ch_u is None or ch_u2 is None:
         return []
-    extra_u = 1 - pos_u
-    extra_u2 = 1 - pos_u2
     for p in p_set.get(side_u, ()):
         [(theta_u, _)] = _theta_in_chamber(s, ch_u, p, seed)
         # same global asymptotic direction, evaluated from the far chamber
@@ -388,7 +387,7 @@ def _slab_lift_items(s: WallStructure, w, p_set, seed):
                           pos_u, extra_u, pos_u2, extra_u2)
         img_u = slab_localize(lift, side_u)
         img_u2 = slab_localize(lift, side_u2)
-        loc = ("slab", rho)
+        loc = ("slab", crossing.rho)
         diff = img_u.sub(theta_u)
         diff2 = img_u2.sub(theta_u2)
         if diff.is_zero() and diff2.is_zero():
@@ -456,12 +455,8 @@ def localize_at_joint(s: WallStructure, joint) -> LocalizedJoint:
         raise UnsupportedDimension(
             "non-apex joints require a structure of dimension >= 3")
     ray = primitive(ray)
-    for rho in cx.boundary_codim1():
-        rho = tuple(sorted(rho))
-        if set(rho) <= set(chart):
-            positions = {chart.index(d) for d in rho}
-            if all(ray[j] == 0 for j in range(n) if j not in positions):
-                raise BoundaryJoint(f"ray {ray} lies in the boundary")
+    if _boundary_facets(cx, chart, ray):
+        raise BoundaryJoint(f"ray {ray} lies in the boundary")
     # unimodular coordinates: first coordinate along the ray
     snf = smith_normal_form(IntegerMatrix.from_rows([[x] for x in ray]))
     u_rows = snf.U.to_rows()          # U * ray = (1, 0, ..., 0)
@@ -523,24 +518,18 @@ def check_joint(s, joint=None, p_set: dict | None = None,
         loc = localize_at_joint(s, joint)
     except BoundaryJoint:
         return _boundary_joint_report(s, joint)
-    codim = _joint_codim(s.complex, joint)
+    codim = min(s.complex.n - len(s.complex.cell_of(*joint)), 2)
     ok, witness = identity_around(loc.instance)
     return JointReport(joint=joint, codim=codim, boundary=False,
                        verdict="pass" if ok else "fail", witness=witness)
 
 
-def _joint_codim(cx: ConeComplex, joint) -> int:
-    """Codimension of the smallest cell containing the joint ray."""
-    chart, ray = tuple(joint[0]), tuple(joint[1])
-    n = cx.n
-    best = 0
-    for cell in cx.cones:
-        if not set(cell) <= set(chart):
-            continue
-        positions = {chart.index(d) for d in cell}
-        if all(ray[j] == 0 for j in range(n) if j not in positions):
-            best = max(best, n - len(cell))
-    return min(best, 2)
+def _boundary_facets(cx: ConeComplex, chart, ray) -> list[int]:
+    """The chart positions j at which ``chart`` has a boundary facet (its
+    rays but the j-th) containing ``ray``, i.e. one with ray[j] = 0."""
+    cell = cx.cell_of(chart, ray)
+    return [j for j, d in enumerate(chart)
+            if d not in cell and j not in cx.crossings(chart)]
 
 
 def _boundary_joint_report(s: WallStructure, joint) -> JointReport:
@@ -551,15 +540,7 @@ def _boundary_joint_report(s: WallStructure, joint) -> JointReport:
     """
     cx = s.complex
     chart, ray = tuple(joint[0]), tuple(int(x) for x in joint[1])
-    n = cx.n
-    facet_positions = []
-    for rho in cx.boundary_codim1():
-        rho = tuple(sorted(rho))
-        if not set(rho) <= set(chart):
-            continue
-        positions = {chart.index(d) for d in rho}
-        if all(ray[j] == 0 for j in range(n) if j not in positions):
-            facet_positions.append(positions)
+    facets = _boundary_facets(cx, chart, ray)
     for w in s.walls:
         if tuple(w.cone) != chart \
                 or linalg.cone_coords(w.support, ray) is None:
@@ -567,9 +548,7 @@ def _boundary_joint_report(s: WallStructure, joint) -> JointReport:
         for (A, m), _c in w.function.terms.items():
             if not any(A):
                 continue
-            tangent = any(all(m[j] == 0 for j in range(n) if j not in pos)
-                          for pos in facet_positions)
-            if not tangent:
+            if all(m[j] for j in facets):
                 return JointReport(
                     joint=joint, codim=2, boundary=True, verdict="fail",
                     witness={"A": list(A), "m": list(m)})

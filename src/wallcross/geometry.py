@@ -12,8 +12,10 @@ by the cell's kink class.
 from __future__ import annotations
 
 import json
+import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from . import ring
@@ -89,6 +91,30 @@ def _faces(index_set: Iterable[int]) -> set[ConeId]:
     return out
 
 
+def _unit(n: int, j: int) -> tuple[int, ...]:
+    return tuple(int(i == j) for i in range(n))
+
+
+def _identity(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(_unit(n, j) for j in range(n))
+
+
+@dataclass(frozen=True)
+class Crossing:
+    """Crossing the interior facet ``rho`` out of a maximal cone.
+
+    ``pos`` is the source chart position of the ray off ``rho`` (its
+    conormal positive into the source is e_pos); ``matrix`` maps source
+    coordinates to those of ``target``, and ``kink`` is rho's kink class.
+    """
+
+    rho: ConeId
+    pos: int
+    target: ConeId
+    matrix: tuple[tuple[int, ...], ...]
+    kink: tuple[int, ...]
+
+
 @dataclass(frozen=True)
 class ConeComplex:
     """The pair (B, P): cones indexed by good divisor sets, with charts."""
@@ -116,12 +142,9 @@ class ConeComplex:
         ts = set(tau)
         return [c for c in self.maximal_cones if ts <= set(c)]
 
-    def is_interior_codim1(self, rho: ConeId) -> bool:
-        return (len(rho) == self.n - 1
-                and len(self.max_cones_containing(rho)) == 2)
-
     def interior_codim1(self) -> list[ConeId]:
-        return [r for r in self.codim1_cones() if self.is_interior_codim1(r)]
+        return [r for r in self.codim1_cones()
+                if len(self.max_cones_containing(r)) == 2]
 
     def boundary_codim1(self) -> list[ConeId]:
         return [r for r in self.codim1_cones()
@@ -136,65 +159,78 @@ class ConeComplex:
 
     # -- charts --------------------------------------------------------------
 
-    def position(self, sigma: ConeId, divisor: int) -> int:
-        return sigma.index(divisor)
-
     def normal_into(self, sigma: ConeId, rho: ConeId) -> tuple[int, ...]:
         """Primitive conormal of rho in the sigma-chart, positive into sigma."""
         extra = [i for i in sigma if i not in rho]
         if len(extra) != 1:
             raise NotAdjacent(f"{rho} is not a facet of {sigma}")
-        pos = self.position(sigma, extra[0])
-        return tuple(1 if j == pos else 0 for j in range(self.n))
+        return _unit(self.n, sigma.index(extra[0]))
 
-    def chart_transition(self, sigma: ConeId, sigma2: ConeId):
-        """Transition matrix sigma-coords -> sigma2-coords, plus the kink.
+    def cell_of(self, sigma: ConeId, v: Sequence) -> ConeId:
+        """The smallest face of sigma containing v (in sigma's chart): the
+        rays at the chart positions where v is nonzero."""
+        return tuple(sorted(d for d, x in zip(sigma, v) if x))
+
+    @cached_property
+    def _crossing_table(self) -> dict[ConeId, dict[int, Crossing]]:
+        """Per maximal cone, its crossings keyed by position; each transition
+        matrix is built and checked once.
 
         Rays of the shared facet map to themselves; the leftover ray of the
         source maps to minus the leftover ray of the target corrected by the
         facet curve's intersection numbers with the facet divisors.
         """
-        sigma = tuple(sigma)
-        sigma2 = tuple(sigma2)
-        if sigma not in self.cones or sigma2 not in self.cones \
-                or len(sigma) != self.n or len(sigma2) != self.n:
-            raise NotAdjacent("arguments must be maximal cones")
-        if sigma == sigma2:
-            matrix = tuple(tuple(1 if i == j else 0 for j in range(self.n))
-                           for i in range(self.n))
-            return matrix, (0,) * self.curve_rank
-        rho = tuple(sorted(set(sigma) & set(sigma2)))
-        if len(rho) != self.n - 1 or not self.is_interior_codim1(rho):
-            raise NotAdjacent(
-                f"{sigma} and {sigma2} do not share an interior facet")
-        numbers = self.intersections.get(rho)
-        if numbers is None:
-            raise GeometryError(f"missing intersection numbers for {rho}")
-        extra_src = next(i for i in sigma if i not in rho)
-        extra_dst = next(i for i in sigma2 if i not in rho)
-        cols = []
-        for i in sigma:  # image of each source basis vector, in dst coords
-            if i == extra_src:
-                img = [0] * self.n
-                img[self.position(sigma2, extra_dst)] = -1
-                for j, d in zip(rho, numbers):
-                    img[self.position(sigma2, j)] -= int(d)
-                cols.append(img)
-            else:
-                img = [0] * self.n
-                img[self.position(sigma2, i)] = 1
-                cols.append(img)
-        matrix = tuple(tuple(cols[j][i] for j in range(self.n))
-                       for i in range(self.n))
-        _check_unimodular(matrix)
-        return matrix, self.kink(rho)
+        table: dict[ConeId, dict[int, Crossing]] = {
+            sigma: {} for sigma in self.maximal_cones}
+        for rho in self.interior_codim1():
+            numbers = self.intersections.get(rho)
+            if numbers is None:
+                raise GeometryError(f"missing intersection numbers for {rho}")
+            sides = self.max_cones_containing(rho)
+            for src, dst in (sides, sides[::-1]):
+                pos = next(j for j, d in enumerate(src) if d not in rho)
+                leftover = [0] * self.n
+                leftover[next(j for j, d in enumerate(dst)
+                              if d not in rho)] = -1
+                for d, k in zip(rho, numbers):
+                    leftover[dst.index(d)] -= k
+                cols = [leftover if j == pos else _unit(self.n, dst.index(d))
+                        for j, d in enumerate(src)]
+                matrix = tuple(zip(*cols))
+                _check_unimodular(matrix)
+                table[src][pos] = Crossing(rho=rho, pos=pos, target=dst,
+                                           matrix=matrix, kink=self.kink(rho))
+        return table
+
+    def crossings(self, sigma: ConeId) -> dict[int, Crossing]:
+        """The crossings out of a maximal cone through its interior facets,
+        keyed by the chart position of the ray off the facet."""
+        try:
+            return self._crossing_table[tuple(sigma)]
+        except KeyError:
+            raise NotAdjacent(f"{sigma} is not a maximal cone") from None
+
+    def crossing_to(self, sigma: ConeId, sigma2: ConeId) -> Crossing:
+        """The crossing out of sigma into the adjacent maximal cone sigma2."""
+        for c in self.crossings(sigma).values():
+            if c.target == tuple(sigma2):
+                return c
+        raise NotAdjacent(
+            f"{sigma} and {sigma2} do not share an interior facet")
+
+    def chart_transition(self, sigma: ConeId, sigma2: ConeId):
+        """Transition matrix sigma-coords -> sigma2-coords, plus the kink."""
+        sigma, sigma2 = tuple(sigma), tuple(sigma2)
+        if sigma == sigma2 and sigma in self._crossing_table:
+            return _identity(self.n), (0,) * self.curve_rank
+        c = self.crossing_to(sigma, sigma2)
+        return c.matrix, c.kink
 
     def loop_matrix(self, cone_path: Sequence[ConeId]):
         """Product of the transitions along a closed path of maximal cones."""
         if cone_path[0] != cone_path[-1]:
             raise GeometryError("path must be closed")
-        result = [[1 if i == j else 0 for j in range(self.n)]
-                  for i in range(self.n)]
+        result = _identity(self.n)
         for a, b in zip(cone_path, cone_path[1:]):
             m, _ = self.chart_transition(a, b)
             result = mat_mul(m, result)
@@ -206,11 +242,9 @@ class ConeComplex:
         may pair negatively with the conormal)."""
         if tuple(sigma) == tuple(sigma2):
             return f
-        matrix, kink = self.chart_transition(sigma, sigma2)
-        rho = tuple(sorted(set(sigma) & set(sigma2)))
-        normal = self.normal_into(sigma, rho)
-        return ring.transport(f, matrix, normal, kink, tuple(sigma2),
-                              group_level=True)
+        c = self.crossing_to(sigma, sigma2)
+        return ring.transport(f, c.matrix, _unit(self.n, c.pos), c.kink,
+                              c.target, group_level=True)
 
     # -- relative structure --------------------------------------------------
 
@@ -235,15 +269,16 @@ class ConeComplex:
         """Fibration must look linear across every interior transition."""
         self._require_relative()
         b = self.divisors.fiber_multiplicities
-        for rho in self.interior_codim1():
-            s1, s2 = self.max_cones_containing(rho)
-            matrix, _ = self.chart_transition(s1, s2)
-            for j in range(self.n):
-                img_val = sum(b[s2[i]] * matrix[i][j] for i in range(self.n))
-                if img_val != b[s1[j]]:
-                    raise NotSubmersion(
-                        f"fibration not linear across {rho}: basis vector "
-                        f"{j} of {s1} maps to value {img_val} != {b[s1[j]]}")
+        for s1, crossings in self._crossing_table.items():
+            for c in crossings.values():
+                for j in range(self.n):
+                    img_val = sum(b[c.target[i]] * c.matrix[i][j]
+                                  for i in range(self.n))
+                    if img_val != b[s1[j]]:
+                        raise NotSubmersion(
+                            f"fibration not linear across {c.rho}: basis "
+                            f"vector {j} of {s1} maps to value {img_val} "
+                            f"!= {b[s1[j]]}")
 
 
 def _check_unimodular(matrix):
@@ -276,28 +311,31 @@ def build_complex(divisors: DivisorTable, good_strata: Iterable[Sequence[int]],
     if n is None:
         n = max((len(c) for c in cones), default=0)
 
-    inter = _as_mapping(intersections, "rho", "numbers")
-    kk = _as_mapping(kinks, "rho", "class")
+    # the numbers of a facet belong to its rays in turn: sort them together
+    inter = {}
+    for rho, numbers in _items(intersections, "rho", "numbers"):
+        if len(numbers) != len(rho):
+            raise GeometryError(
+                f"{len(numbers)} intersection numbers for the facet {rho}")
+        pairs = sorted(zip(rho, numbers))
+        inter[tuple(d for d, _ in pairs)] = tuple(k for _, k in pairs)
+    kk = {tuple(sorted(rho)): c for rho, c in _items(kinks, "rho", "class")}
     if curve_rank is None:
         curve_rank = next((len(v) for v in kk.values()), 0)
-    kk = {k: ring.integer_vector(v) for k, v in kk.items()}
 
     cx = ConeComplex(n=n, curve_rank=curve_rank, divisors=divisors,
                      strata=frozenset(strata), cones=cones,
-                     intersections={k: ring.integer_vector(v)
-                                    for k, v in inter.items()},
-                     kinks=kk, relative=relative)
+                     intersections=inter, kinks=kk, relative=relative)
     validate_complex(cx)
     return cx
 
 
-def _as_mapping(data, key_name, val_name) -> dict[ConeId, tuple]:
-    if isinstance(data, Mapping):
-        return {tuple(sorted(k)): tuple(v) for k, v in data.items()}
-    out = {}
-    for item in data:
-        out[tuple(sorted(item[key_name]))] = tuple(item[val_name])
-    return out
+def _items(data, key_name, val_name) -> list[tuple[ConeId, tuple]]:
+    """(cell, integer vector) pairs of a mapping, or of a list of objects
+    holding the cell under ``key_name`` and the vector under ``val_name``."""
+    pairs = data.items() if isinstance(data, Mapping) else \
+        ((item[key_name], item[val_name]) for item in data)
+    return [(tuple(k), ring.integer_vector(v)) for k, v in pairs]
 
 
 def validate_complex(cx: ConeComplex):
@@ -356,16 +394,13 @@ def validate_complex(cx: ConeComplex):
                 f"good boundary of stratum {c} is disconnected")
 
     # interior facets need intersection numbers; transitions must build
-    for rho in cx.interior_codim1():
-        if rho not in cx.intersections:
-            raise GeometryError(f"missing intersection numbers for {rho}")
-        s1, s2 = cx.max_cones_containing(rho)
-        m12, _ = cx.chart_transition(s1, s2)
-        m21, _ = cx.chart_transition(s2, s1)
-        if mat_mul(m12, m21) != [[1 if i == j else 0 for j in range(n)]
-                                 for i in range(n)]:
-            raise NonUnimodularChart(
-                f"transitions across {rho} do not invert each other")
+    for sigma in cx.maximal_cones:
+        for c in cx.crossings(sigma).values():
+            back = cx.crossing_to(c.target, sigma)
+            if tuple(map(tuple, mat_mul(c.matrix, back.matrix))) \
+                    != _identity(n):
+                raise NonUnimodularChart(
+                    f"transitions across {c.rho} do not invert each other")
 
     if cx.relative:
         cx.check_submersion()
@@ -447,8 +482,6 @@ class GenericPointSampler:
     """
 
     def __init__(self, seed: int = 0):
-        import random
-
         self._rng = random.Random(seed)
         self.seed = seed
 
@@ -484,29 +517,27 @@ def geometry_from_json(data: Mapping) -> ConeComplex:
     div_names = []
     a_coeffs = []
     b_mults = []
-    has_b = False
     for d in data["divisors"]:
         extra = set(d) - {"name", "a", "b"}
         if extra:
             raise GeometryError(f"unknown divisor keys: {sorted(extra)}")
         div_names.append(str(d["name"]))
         a_coeffs.append(Fraction(str(d.get("a", 0))))
-        if "b" in d:
-            has_b = True
-            b_mults.append(int(d["b"]))
-        else:
-            b_mults.append(0)
+        b_mults.append(d.get("b", 0))
+    has_b = any("b" in d for d in data["divisors"])
     table = DivisorTable(
         names=tuple(div_names), a_coeffs=tuple(a_coeffs),
-        fiber_multiplicities=tuple(b_mults) if has_b else None)
+        fiber_multiplicities=ring.integer_vector(b_mults) if has_b else None)
+    n, curve_rank = (None if data.get(k) is None else ring.integer(data[k])
+                     for k in ("n", "curve_rank"))
     return build_complex(
         divisors=table,
         good_strata=[tuple(s) for s in data["good_strata"]],
         intersections=data.get("intersections", ()),
         kinks=data.get("kinks", ()),
         relative=bool(data.get("relative", False)),
-        curve_rank=data.get("curve_rank"),
-        n=data.get("n"))
+        curve_rank=curve_rank,
+        n=n)
 
 
 def geometry_to_json(cx: ConeComplex) -> dict:

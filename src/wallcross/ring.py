@@ -268,12 +268,16 @@ class RingElement:
 
 # -- module-level operations -------------------------------------------------
 
+def integer(x) -> int:
+    """An integer read from JSON; a non-integral number is an error."""
+    if isinstance(x, float) and not x.is_integer():
+        raise ValueError(f"non-integral entry {x!r}")
+    return int(x)
+
+
 def integer_vector(xs: Iterable) -> tuple[int, ...]:
     """An integer vector read from JSON; a non-integral entry is an error."""
-    for x in xs:
-        if isinstance(x, float) and not x.is_integer():
-            raise ValueError(f"non-integral vector entry {x!r} in {xs!r}")
-    return tuple(int(x) for x in xs)
+    return tuple(integer(x) for x in xs)
 
 
 def multiply(f: RingElement, g: RingElement) -> RingElement:

@@ -23,6 +23,7 @@ from .errors import (
     ClassInIdeal,
     InadmissibleWallDirection,
     NonReducedFiber,
+    NotAdjacent,
     SingularPoint,
     UnsupportedDimension,
     WallError,
@@ -127,17 +128,15 @@ class WallStructure:
     def _coords_in_chart(self, x: PointInChart, cone: ConeId):
         if x.cone == cone:
             return x.coords
-        shared = tuple(sorted(set(x.cone) & set(cone)))
-        if len(shared) != self.complex.n - 1 \
-                or not self.complex.is_interior_codim1(shared):
+        try:
+            c = self.complex.crossing_to(x.cone, cone)
+        except NotAdjacent:
             return None
         # the point must lie on the shared facet for the transition to be
         # meaningful as a point map
-        extra = next(i for i in x.cone if i not in shared)
-        if x.coords[x.cone.index(extra)] != 0:
+        if x.coords[c.pos] != 0:
             return None
-        matrix, _ = self.complex.chart_transition(x.cone, cone)
-        return linalg.mat_vec(matrix, x.coords)
+        return linalg.mat_vec(c.matrix, x.coords)
 
     def f_at(self, x: PointInChart) -> RingElement:
         """Product of the functions of all walls through x (in x's chart)."""
@@ -198,13 +197,9 @@ def _span_key(support):
 
 def minimal_cell(cx: ConeComplex, cone: ConeId, support) -> ConeId:
     """Smallest cell of the complex containing the support cone."""
-    positions = set()
-    for g in support:
-        if any(x < 0 for x in g):
-            raise WallError(
-                "support generators must lie in the chart's cone")
-        positions |= {i for i, x in enumerate(g) if x > 0}
-    cell = tuple(sorted(cone[i] for i in positions))
+    if any(x < 0 for g in support for x in g):
+        raise WallError("support generators must lie in the chart's cone")
+    cell = cx.cell_of(cone, [sum(col) for col in zip(*support)])
     if cell not in cx.cones:
         raise WallError(f"support spans {cell}, not a cell of the complex")
     return cell
@@ -351,10 +346,12 @@ def counts_from_json(data) -> list[dict]:
 def truncation_from_json(data: Mapping) -> Truncation:
     mode = data.get("mode", "degree")
     if mode == "degree":
-        return Truncation.degree(int(data["curve_rank"]), int(data["bound"]),
-                                 data.get("weights"))
+        weights = data.get("weights")
+        return Truncation.degree(
+            ring.integer(data["curve_rank"]), ring.integer(data["bound"]),
+            None if weights is None else ring.integer_vector(weights))
     if mode == "generators":
-        return Truncation.from_generators(int(data["curve_rank"]),
+        return Truncation.from_generators(ring.integer(data["curve_rank"]),
                                           data["generators"])
     raise WallError(f"unknown truncation mode {mode!r}")
 
@@ -612,17 +609,14 @@ class SlabRingElement:
 
 def _slab_base_relation(slab: SlabData, trunc: Truncation):
     """f_slab t^kink as a dict over (A, m_rho) keys."""
-    cx = slab.cx
-    kink = cx.kink(slab.rho)
+    crossing = slab.cx.crossing_to(slab.side_u, slab.side_u2)
     out: dict[tuple, Fraction] = {}
-    positions = [slab.side_u.index(i) for i in slab.rho]
     for (A, m), c in slab.f_slab.terms.items():
         # tangency to rho means the transversal coordinate vanishes
-        extra = next(j for j in range(cx.n) if j not in positions)
-        if m[extra] != 0:
+        if m[crossing.pos] != 0:
             raise WallError("slab function must be tangent to the slab")
-        key = (tuple(a + k for a, k in zip(A, kink)),
-               tuple(m[p] for p in positions))
+        key = (tuple(a + k for a, k in zip(A, crossing.kink)),
+               m[:crossing.pos] + m[crossing.pos + 1:])
         out[key] = out.get(key, Fraction(0)) + c
     return out
 
@@ -640,22 +634,17 @@ def slab_localize(e: SlabRingElement, side: ConeId) -> RingElement:
     if side not in (slab.side_u, slab.side_u2):
         raise WallError("side must be one of the slab's chambers")
     plus_side = side == slab.side_u
-    kink = cx.kink(slab.rho)
-    n = cx.n
-    positions = [side.index(i) for i in slab.rho]
-    extra = next(j for j in range(n) if j not in positions)
+    crossing = cx.crossing_to(side, slab.side_u2 if plus_side
+                              else slab.side_u)
     f = slab.f_slab
     if not plus_side:
         f = cx.transport_element(f, slab.side_u, slab.side_u2)
-    result = RingElement.zero(side, e.trunc, n)
+    result = RingElement.zero(side, e.trunc, cx.n)
     for (A, mr, zp, zm), c in sorted(e.terms.items()):
         count = zm if plus_side else zp
         steps = zp - zm if plus_side else zm - zp
-        newA = tuple(a + count * k for a, k in zip(A, kink))
-        m = [0] * n
-        for p, val in zip(positions, mr):
-            m[p] = val
-        m[extra] = steps
+        newA = tuple(a + count * k for a, k in zip(A, crossing.kink))
+        m = mr[:crossing.pos] + (steps,) + mr[crossing.pos:]
         term = RingElement.monomial(newA, m, c, side, e.trunc)
         result = result.add(term.mul(f.pow_nonneg(count)))
     return result

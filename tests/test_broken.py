@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import dataclasses
+import time
 from collections import Counter
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from wallcross import linalg, ring
+from wallcross import geometry, linalg, ring
 from wallcross.broken import (
     alpha_trop,
     chambers_containing,
@@ -406,6 +407,71 @@ def test_slab_bend_leaves_sum_to_the_kick(number):
                     (bend.delta_class, bend.delta_exponent)
                 bends += 1
     assert bends > 0
+
+
+# -- toric cycles ------------------------------------------------------------
+
+# self-intersections D_i^2 of the boundary cycle of a toric surface
+TORIC_CYCLES = {"P2": (1, 1, 1), "P1xP1": (0, 0, 0, 0), "dP6": (-1,) * 6}
+
+
+def toric_cycle(squares, bound=4):
+    """The cycle of charts (i, i+1) of a toric surface, without walls, with
+    intersection number D_i^2 and kink class t on the ray of D_i."""
+    k = len(squares)
+    cx = build_complex(
+        DivisorTable(names=tuple(f"D{i}" for i in range(k)),
+                     a_coeffs=(Fraction(0),) * k),
+        [(i, (i + 1) % k) for i in range(k)],
+        intersections={(i,): (d,) for i, d in enumerate(squares)},
+        kinks={(i,): (1,) for i in range(k)}, curve_rank=1)
+    return WallStructure(complex=cx, trunc=Truncation.degree(1, bound),
+                         walls=())
+
+
+def ray_exponent(cx, i):
+    """The primitive vector of the ray of D_i, in a chart containing it."""
+    chart = next(c for c in cx.maximal_cones if i in c)
+    return PointInChart(chart, tuple(int(d == i) for d in chart))
+
+
+@pytest.mark.parametrize("name", sorted(TORIC_CYCLES))
+def test_theta_functions_of_a_toric_cycle(name):
+    """Gross-Hacking-Keel (arXiv:1106.4977): on the cycle of a toric
+    surface, theta_{v_(i-1)} theta_{v_(i+1)} = t theta_{v_i}^(-D_i^2),
+    read as theta_{v_(i-1)} theta_{v_(i+1)} theta_{v_i} = t on P^2, at a
+    point of every chart; broken lines reach it around the cycle."""
+    squares = TORIC_CYCLES[name]
+    k = len(squares)
+    start = time.perf_counter()
+    s = toric_cycle(squares)
+    for chart in s.complex.maximal_cones:
+        x = PointInChart(chart, (Fraction(1, 3), Fraction(2, 7)))
+        th = [theta(s, ray_exponent(s.complex, i), x) for i in range(k)]
+        t = RingElement.monomial((1,), (0, 0), 1, chart, s.trunc)
+        for i, d in enumerate(squares):
+            lhs = th[i - 1].mul(th[(i + 1) % k]).mul(th[i].pow_int(max(d, 0)))
+            assert not lhs.is_zero()
+            assert lhs == t.mul(th[i].pow_int(max(-d, 0)))
+    assert time.perf_counter() - start < 2.0
+
+
+def test_crossings_are_derived_once_per_complex(monkeypatch):
+    """Building a complex and tracing broken lines around it check one
+    transition matrix per (interior facet, side)."""
+    checked = []
+    check_unimodular = geometry._check_unimodular
+
+    def counting_check(matrix):
+        checked.append(matrix)
+        return check_unimodular(matrix)
+
+    monkeypatch.setattr(geometry, "_check_unimodular", counting_check)
+    s = toric_cycle(TORIC_CYCLES["dP6"])
+    x = PointInChart((0, 1), (Fraction(1, 3), Fraction(2, 7)))
+    for i in (3, 4):
+        assert not theta(s, ray_exponent(s.complex, i), x).is_zero()
+    assert 0 < len(checked) <= 2 * len(s.complex.interior_codim1())
 
 
 # -- derived wall data -------------------------------------------------------

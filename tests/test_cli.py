@@ -61,6 +61,30 @@ def test_unknown_subcommand_is_usage_error():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["theta", "-g", "x.json"],
+    ["render", "-o", "out.svg"],
+    ["tropical", "classify", "--type", "t.json"],
+    ["--seed", "x", "validate", "-g", "x.json"],
+], ids=["missing-options", "render-without-bundle", "nested-subcommand",
+        "bad-option-value"])
+def test_command_line_errors_end_with_json(tmp_path, capsys, argv):
+    """A wrong command line exits 2 and, after argparse's usage line,
+    ends with the one-line JSON diagnostic naming what is missing."""
+    argv = [str(tmp_path / a) if a.endswith((".json", ".svg")) else a
+            for a in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    last = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert last["schema"] == "wallcross/1"
+    assert last["error"] == "UsageError"
+    assert "--" in last["message"]
+    assert not (tmp_path / "out.svg").exists()
+
+
 def test_validation_error_exits_one(tmp_path, capsys):
     s = quadrant()
     bad = geometry_to_json(s.complex)
@@ -107,6 +131,22 @@ def _non_integral_count(b):
     return ["walls", "-g", b["g"], "-t", b["t"], "-c", str(path)]
 
 
+def _edited_truncation(b):
+    data = json.loads(open(b["t"]).read())
+    data["bound"] = 4.5
+    path = b["tmp"] / "trunc-edited.json"
+    path.write_text(json.dumps(data))
+    return ["theta", "-g", b["g"], "-t", str(path), "-w", b["w"],
+            "--p", "1,0", "--x", "1,2"]
+
+
+def _edited_divisors(b):
+    data = json.loads(open(b["g"]).read())
+    for d in data["divisors"]:
+        d["b"] = 1.5
+    return _geometry_of_shape(b, data)
+
+
 def _edited_instance(b, edit):
     data = two_lines().to_json()
     edit(data)
@@ -129,10 +169,13 @@ def _edited_instance(b, edit):
         b, lambda d: d["rays"][0].update(direction=[1.5, 0])),
     _edited_walls,
     _non_integral_count,
+    _edited_truncation,
+    _edited_divisors,
 ], ids=["truncated-json", "missing-key", "bad-vector", "missing-trunc",
         "list-for-object", "number-for-list", "zero-denominator",
         "non-integral-direction", "non-integral-support",
-        "non-integral-count"])
+        "non-integral-count", "non-integral-bound",
+        "non-integral-fiber-multiplicity"])
 def test_unparsable_input_is_usage_error(bundle, capsys, argv):
     code, _, err = run(capsys, *argv(bundle))
     assert code == 2

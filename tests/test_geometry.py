@@ -20,6 +20,7 @@ from wallcross.errors import (
     NotSubmersion,
 )
 from wallcross.geometry import (
+    Crossing,
     DivisorTable,
     GenericPointSampler,
     PointInChart,
@@ -130,6 +131,22 @@ def test_not_adjacent():
         cx.chart_transition((0, 1), (2, 3))
 
 
+def test_crossing_table_of_a_quadrant_pair():
+    cx = quadrant_pair(-1, kink=(2,))
+    assert cx.crossings((0, 1)) == {1: Crossing(
+        rho=(0,), pos=1, target=(0, 2), matrix=((1, 1), (0, -1)), kink=(2,))}
+    assert cx.crossing_to((0, 2), (0, 1)).pos == 1
+    assert cx.cell_of((0, 2), (Fraction(1, 3), 0)) == (0,)
+    assert cx.cell_of((0, 2), (0, -4)) == (2,)
+    assert cx.cell_of((0, 2), (0, 0)) == ()
+
+
+def test_facet_numbers_must_match_its_rays():
+    with pytest.raises(GeometryError):
+        build_complex(simple_divisors(3), [(0, 1), (0, 2)],
+                      intersections={(0,): (1, 2)}, curve_rank=1)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(-4, 4))
 def test_property_transitions_mutually_inverse(number):
@@ -178,6 +195,28 @@ def test_blowup_some_monodromy_trivial(blowup):
 def test_blowup_json_round_trip(blowup):
     again = geometry_from_json(geometry_to_json(blowup))
     assert again == blowup
+
+
+def test_unsorted_facet_keeps_its_numbers_with_its_rays(blowup):
+    """The numbers of a facet belong to its rays in turn: the facet (0, 1)
+    listed as (1, 0) with its numbers in the same order is the same data,
+    from JSON and from a mapping alike."""
+    s1, s2 = blowup.max_cones_containing((0, 1))
+    assert blowup.chart_transition(s1, s2)[0] == \
+        ((1, 0, 0), (0, 1, 1), (0, 0, -1))
+    data = geometry_to_json(blowup)
+    [entry] = [e for e in data["intersections"] if e["rho"] == [0, 1]]
+    assert entry["numbers"] == [0, -1]
+    entry.update(rho=[1, 0], numbers=[-1, 0])
+    assert geometry_from_json(data) == blowup
+    numbers = dict(blowup.intersections)
+    numbers[(1, 0)] = numbers.pop((0, 1))[::-1]
+    again = build_complex(blowup.divisors, blowup.strata, numbers,
+                          blowup.kinks, relative=blowup.relative,
+                          curve_rank=blowup.curve_rank, n=blowup.n)
+    assert again == blowup
+    assert again.chart_transition(s1, s2)[0] == \
+        ((1, 0, 0), (0, 1, 1), (0, 0, -1))
 
 
 def test_unknown_keys_rejected(blowup):

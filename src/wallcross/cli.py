@@ -26,6 +26,7 @@ from .consistency import (
 )
 from .errors import NonPlanarSlice, WallcrossError
 from .geometry import PointInChart, load_geometry, validate_complex
+from .ring import integer_vector
 from .tropical import (
     GluingEdge,
     SplitPiece,
@@ -197,17 +198,40 @@ def _cmd_tropical_classify(args):
 def _cmd_tropical_multiplicity(args):
     cx = load_geometry(args.geometry)
     data = _load_json(args.pieces)
-    pieces = [SplitPiece(type=TropicalType.from_json(p["type"]),
-                         gluing_legs=tuple(p["gluing_legs"]))
-              for p in data["pieces"]]
-    edges = [GluingEdge(ends=tuple(tuple(e) for e in item["ends"]),
-                        lattice=tuple(tuple(v) for v in item["lattice"]))
-             for item in data["edges"]]
+    pieces = [_split_piece(p) for p in data["pieces"]]
+    edges = [_gluing_edge(item, pieces, cx.n) for item in data["edges"]]
     res = splitting_multiplicity(pieces, edges, cx)
     _emit(args, {"schema": SCHEMA, "multiplicity": res.multiplicity,
                  "rank_ok": res.rank_ok,
                  "dimension_formula_ok": res.dimension_formula_ok})
     return 0
+
+
+def _split_piece(data) -> SplitPiece:
+    t = TropicalType.from_json(data["type"])
+    legs = integer_vector(data["gluing_legs"])
+    for leg in legs:
+        if not 0 <= leg < len(t.legs):
+            raise ValueError(f"gluing leg {leg} is not a leg of its piece")
+    return SplitPiece(type=t, gluing_legs=legs)
+
+
+def _gluing_edge(data, pieces, n) -> GluingEdge:
+    ends = tuple(integer_vector(e) for e in data["ends"])
+    if len(ends) != 2 or any(len(e) != 2 for e in ends):
+        raise ValueError(f"gluing edge ends {data['ends']} are not two "
+                         "(piece, leg) pairs")
+    for piece, leg in ends:
+        if not (0 <= piece < len(pieces)
+                and leg in pieces[piece].gluing_legs):
+            raise ValueError(f"gluing edge end {[piece, leg]} is not a "
+                             "gluing leg of a piece")
+    lattice = tuple(integer_vector(v) for v in data["lattice"])
+    for v in lattice:
+        if len(v) != n:
+            raise ValueError(f"stratum lattice vector {list(v)} does not "
+                             f"have length {n}")
+    return GluingEdge(ends=ends, lattice=lattice)
 
 
 # -- rendering ----------------------------------------------------------------

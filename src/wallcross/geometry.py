@@ -282,7 +282,7 @@ class ConeComplex:
 
 
 def _check_unimodular(matrix):
-    d = det([list(r) for r in matrix])
+    d = det(matrix)
     if abs(d) != 1:
         raise NonUnimodularChart(f"transition determinant {d}")
 

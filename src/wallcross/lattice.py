@@ -8,7 +8,7 @@ index (wall multiplicities, gluing multiplicities, fibration indices).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 from typing import Sequence
 
 from .linalg import det, mat_mul, mat_vec
@@ -80,6 +80,11 @@ class SmithDecomposition:
     def rank(self) -> int:
         return sum(1 for d in self.diagonal if d != 0)
 
+    @property
+    def torsion(self) -> int:
+        """Product of the nonzero invariant factors."""
+        return prod(d for d in self.diagonal if d != 0)
+
 
 def smith_normal_form(M: IntegerMatrix) -> SmithDecomposition:
     """Smith normal form by elementary row/column operations.
@@ -89,8 +94,8 @@ def smith_normal_form(M: IntegerMatrix) -> SmithDecomposition:
     """
     a = M.to_rows()
     r, c = M.rows, M.cols
-    u = IntegerMatrix.identity(r).to_rows()
-    v = IntegerMatrix.identity(c).to_rows()
+    u = [[int(i == j) for j in range(r)] for i in range(r)]
+    v = [[int(i == j) for j in range(c)] for i in range(c)]
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
@@ -178,12 +183,12 @@ def smith_normal_form(M: IntegerMatrix) -> SmithDecomposition:
                     negate_row(i + 1)
                 changed = True
 
-    D = IntegerMatrix.from_rows(a)
-    Um = IntegerMatrix.from_rows(u)
-    Vm = IntegerMatrix.from_rows(v)
     if abs(det(u)) != 1 or abs(det(v)) != 1:
         raise AssertionError("Smith normal form transforms are not unimodular")
-    return SmithDecomposition(U=Um, D=D, V=Vm)
+    return SmithDecomposition(
+        U=IntegerMatrix(r, r, tuple(x for row in u for x in row)),
+        D=IntegerMatrix(r, c, tuple(x for row in a for x in row)),
+        V=IntegerMatrix(c, c, tuple(x for row in v for x in row)))
 
 
 def _bezout(x: int, y: int) -> tuple[int, int]:
@@ -223,16 +228,9 @@ def cokernel_order(M: IntegerMatrix, torsion_only: bool = False):
     invariant factors when M has full row rank over Q, else ``INFINITE``.
     """
     snf = smith_normal_form(M)
-    diag = snf.diagonal
-    torsion = 1
-    for d in diag:
-        if d != 0:
-            torsion *= d
-    if torsion_only:
-        return torsion
-    if snf.rank < M.rows:
-        return INFINITE
-    return torsion
+    if torsion_only or snf.rank == M.rows:
+        return snf.torsion
+    return INFINITE
 
 
 def kernel_basis(M: IntegerMatrix) -> list[tuple[int, ...]]:

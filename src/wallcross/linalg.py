@@ -1,7 +1,8 @@
-"""Exact rational linear algebra over fractions.Fraction.
+"""Exact linear algebra on small dense matrices.
 
-Small dense matrices only; used for ranks, kernels and linear solves in the
-polyhedral and tropical machinery.  Matrices are tuples/lists of rows.
+Ranks, kernels and linear solves work over fractions.Fraction and serve the
+polyhedral and tropical machinery.  ``det`` is fraction-free: it takes an
+integer matrix and returns an ``int``.  Matrices are tuples/lists of rows.
 """
 
 from __future__ import annotations
@@ -30,11 +31,16 @@ def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
             for row in a]
 
 
-def _rref(m: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form; returns (rref, pivot column indices)."""
+def _rref(m: Matrix, cols: int | None = None) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form; returns (rref, pivot column indices).
+
+    Pivots are taken in the first ``cols`` columns only (all by default);
+    the columns after them are carried along as right-hand sides.
+    """
     m = [row[:] for row in m]
     rows = len(m)
-    cols = len(m[0]) if rows else 0
+    if cols is None:
+        cols = len(m[0]) if rows else 0
     pivots: list[int] = []
     r = 0
     for c in range(cols):
@@ -82,45 +88,64 @@ def nullspace(m: Sequence[Sequence], cols: int | None = None) -> list[Vector]:
     return basis
 
 
+def solve_columns(m: Sequence[Sequence],
+                  bs: Sequence[Sequence]) -> list[Vector | None]:
+    """One exact solution of m x = b for each b in bs (None where m x = b
+    is inconsistent), all from one elimination of m augmented by every b."""
+    cols = len(m[0]) if m else 0
+    aug = [[Fraction(x) for x in row] + [Fraction(b[i]) for b in bs]
+           for i, row in enumerate(m)]
+    red, pivots = _rref(aug, cols)
+    rk = len(pivots)
+    out: list[Vector | None] = []
+    for k in range(cols, cols + len(bs)):
+        if any(row[k] != 0 for row in red[rk:]):
+            out.append(None)
+            continue
+        x = [Fraction(0)] * cols
+        for r, p in enumerate(pivots):
+            x[p] = red[r][k]
+        out.append(tuple(x))
+    return out
+
+
 def solve(m: Sequence[Sequence], b: Sequence) -> Vector | None:
     """One exact solution of m x = b, or None if inconsistent."""
-    mm = to_fraction_matrix(m)
-    cols = len(mm[0]) if mm else 0
-    aug = [row + [Fraction(x)] for row, x in zip(mm, b)]
-    red, pivots = _rref(aug)
-    if cols in pivots:
-        return None
-    x = [Fraction(0)] * cols
-    for r, p in enumerate(pivots):
-        x[p] = red[r][cols]
-    return tuple(x)
+    return solve_columns(m, [b])[0]
 
 
 def cone_coords(generators: Sequence[Sequence], v: Sequence) -> Vector | None:
     """Nonnegative λ with Σ λ_i·generators[i] = v, or None if v is outside
     the cone."""
-    cols = [[Fraction(g[j]) for g in generators] for j in range(len(v))]
+    cols = [[g[j] for g in generators] for j in range(len(v))]
     sol = solve(cols, v)
     if sol is None or any(c < 0 for c in sol):
         return None
     return sol
 
 
-def det(m: Sequence[Sequence]) -> Fraction:
-    mm = to_fraction_matrix(m)
-    n = len(mm)
-    result = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if mm[i][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            mm[c], mm[piv] = mm[piv], mm[c]
-            result = -result
-        result *= mm[c][c]
-        inv = mm[c][c]
-        for i in range(c + 1, n):
-            if mm[i][c] != 0:
-                f = mm[i][c] / inv
-                mm[i] = [x - f * y for x, y in zip(mm[i], mm[c])]
-    return result
+def det(m: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix, as an ``int``.
+
+    Bareiss fraction-free elimination: after step k every remaining entry
+    is a (k+1)-by-(k+1) minor of the row-permuted matrix, so the division
+    by the previous pivot is exact and no fraction ever arises.
+    """
+    a = [list(row) for row in m]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            piv = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if piv is None:
+                return 0
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        p, top = a[k][k], a[k]
+        for i in range(k + 1, n):
+            row = a[i]
+            f = row[k]
+            for j in range(k + 1, n):
+                row[j] = (p * row[j] - f * top[j]) // prev
+        prev = p
+    return sign * a[n - 1][n - 1] if n else 1

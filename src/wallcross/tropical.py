@@ -24,7 +24,12 @@ from .errors import (
     VertexInDelta,
 )
 from .geometry import ConeComplex
-from .lattice import IntegerMatrix, cokernel_order, kernel_basis
+from .lattice import (
+    IntegerMatrix,
+    cokernel_order,
+    kernel_basis,
+    smith_normal_form,
+)
 
 ConeId = tuple
 
@@ -204,10 +209,8 @@ def _fm_feasible(rows) -> bool:
 def _substitute(row, basis):
     """Rewrite a constraint over x as a constraint over nullspace coords."""
     coeffs, const, strict = row
-    out = []
-    for b in basis:
-        out.append(sum(Fraction(c) * b[j] for j, c in enumerate(coeffs)))
-    return out, Fraction(const), strict
+    nonzero = [(j, c) for j, c in enumerate(coeffs) if c]
+    return [sum(c * b[j] for j, c in nonzero) for b in basis], const, strict
 
 
 # -- universal cone ----------------------------------------------------------
@@ -555,43 +558,45 @@ def splitting_multiplicity(pieces: Sequence[SplitPiece],
     of the image of the assembled integer map in the product of those
     lattices.
     """
-    # each edge's difference, expressed in the edge lattice basis
-    columns = [[x for e, contrib in zip(edges, col)
-                for x in _in_lattice_basis(contrib, e.lattice)]
-               for col in _difference_columns(pieces, edges, cx)]
+    columns = _difference_columns(pieces, edges, cx)
+    # each edge's differences, expressed in the edge lattice basis; with no
+    # domain columns the map is one zero column
+    rows = []
+    for ei, e in enumerate(edges):
+        coords = _in_lattice_basis([col[ei] for col in columns], e.lattice)
+        rows += [[c[i] for c in coords] or [0] for i in range(len(e.lattice))]
     total = len(columns)
-    target_dim = sum(len(e.lattice) for e in edges)
-    if not columns:
-        columns = [[0] * target_dim]
-    eps = IntegerMatrix.from_rows(
-        [[col[i] for col in columns] for i in range(target_dim)])
-    rk = linalg.rank([[Fraction(x) for x in row] for row in eps.to_rows()])
+    target_dim = len(rows)
+    eps = IntegerMatrix.from_rows(rows)
+    snf = smith_normal_form(eps)
+    rk = snf.rank
     rank_ok = rk == target_dim
     if not rank_ok:
         raise RankDeficient(
             "the gluing difference map is not surjective over the rationals")
-    order = cokernel_order(eps, torsion_only=True)
     # dimension formula: sum of enlarged dims = glued dim + sum of ranks
     glued_dim = total - rk
     dim_ok = total == glued_dim + target_dim
-    return MultiplicityResult(multiplicity=order, rank_ok=rank_ok,
+    return MultiplicityResult(multiplicity=snf.torsion, rank_ok=rank_ok,
                               dimension_formula_ok=dim_ok,
-                              epsilon=tuple(tuple(r) for r in eps.to_rows()))
+                              epsilon=tuple(tuple(r) for r in rows))
 
 
-def _in_lattice_basis(vec, lattice):
-    """Coordinates of an integer vector in a stratum-lattice basis."""
-    cols = [[Fraction(b[j]) for b in lattice] for j in range(len(vec))]
-    sol = linalg.solve(cols, [Fraction(x) for x in vec])
-    if sol is None:
-        raise TropicalError(
-            f"evaluation difference {vec} leaves the stratum lattice span")
+def _in_lattice_basis(vecs, lattice):
+    """Coordinates of integer vectors in a stratum-lattice basis, all from
+    one elimination."""
+    if not vecs:
+        return []
+    basis = [[b[j] for b in lattice] for j in range(len(vecs[0]))]
     out = []
-    for x in sol:
-        if x.denominator != 1:
+    for vec, sol in zip(vecs, linalg.solve_columns(basis, vecs)):
+        if sol is None:
+            raise TropicalError(
+                f"evaluation difference {vec} leaves the stratum lattice span")
+        if any(x.denominator != 1 for x in sol):
             raise TropicalError(
                 f"evaluation difference {vec} is not in the stratum lattice")
-        out.append(int(x))
+        out.append([int(x) for x in sol])
     return out
 
 

@@ -184,7 +184,8 @@ class WallStructure:
                                             for g in item["support"]),
                               function=f, rho=rho))
         return cls(complex=cx, trunc=trunc, walls=tuple(walls),
-                   dropped_trivial=int(data.get("dropped_trivial", 0)))
+                   dropped_trivial=ring.integer(
+                       data.get("dropped_trivial", 0)))
 
 
 def _span_key(support):
@@ -292,15 +293,13 @@ def assemble_canonical(cx: ConeComplex, counts: Iterable[Mapping],
                 linalg.rank([list(g) for g in support]):
             raise InadmissibleWallDirection(
                 f"direction {list(u)} not tangent to the support")
-        k = entry.get("k")
-        if k is None:
-            k = gcd(*u)
-        aut = int(entry.get("aut", 1) or 1)
+        k = _positive(entry, "k", gcd(*u))
+        aut = _positive(entry, "aut", 1)
         key = (cone, support, u, A)
         grouped[key] = grouped.get(key, Fraction(0)) + \
             Fraction(str(entry["W"])) / aut
-        prev = kvals.setdefault(key, int(k))
-        if prev != int(k):
+        prev = kvals.setdefault(key, k)
+        if prev != k:
             raise WallError("conflicting lattice indices for one family")
 
     by_support: dict[tuple, RingElement] = {}
@@ -330,6 +329,18 @@ def assemble_canonical(cx: ConeComplex, counts: Iterable[Mapping],
         walls.append(wall)
     return WallStructure(complex=cx, trunc=trunc, walls=tuple(walls),
                          dropped_trivial=dropped)
+
+
+def _positive(entry: Mapping, key: str, default: int) -> int:
+    """A count entry's optional positive integer field."""
+    value = entry.get(key)
+    if value is None:
+        return default
+    value = ring.integer(value)
+    if value < 1:
+        raise ValueError(f"count field {key!r} must be at least 1, "
+                         f"got {value}")
+    return value
 
 
 def counts_from_json(data) -> list[dict]:

@@ -131,6 +131,20 @@ def _non_integral_count(b):
     return ["walls", "-g", b["g"], "-t", b["t"], "-c", str(path)]
 
 
+def _count_with(b, **fields):
+    path = b["tmp"] / "counts.json"
+    path.write_text(json.dumps({"counts": [
+        {"max_cone": [0, 1], "support": [[1, 1]], "u": [1, 1], "A": [1],
+         "W": 1, **fields}]}))
+    return ["walls", "-g", b["g"], "-t", b["t"], "-c", str(path)]
+
+
+def test_count_with_explicit_k_and_aut_assembles(bundle, capsys):
+    code, out, _ = run(capsys, *_count_with(bundle, k=2, aut=3))
+    assert code == 0
+    assert len(json.loads(out)["walls"]) == 1
+
+
 def _edited_truncation(b):
     data = json.loads(open(b["t"]).read())
     data["bound"] = 4.5
@@ -171,11 +185,18 @@ def _edited_instance(b, edit):
     _non_integral_count,
     _edited_truncation,
     _edited_divisors,
+    lambda b: _count_with(b, k=1.5),
+    lambda b: _count_with(b, aut=2.5),
+    lambda b: _count_with(b, aut=0),
+    lambda b: _count_with(b, aut=-1),
+    lambda b: _count_with(b, k=0),
 ], ids=["truncated-json", "missing-key", "bad-vector", "missing-trunc",
         "list-for-object", "number-for-list", "zero-denominator",
         "non-integral-direction", "non-integral-support",
         "non-integral-count", "non-integral-bound",
-        "non-integral-fiber-multiplicity"])
+        "non-integral-fiber-multiplicity", "non-integral-k",
+        "non-integral-aut", "non-positive-aut", "negative-aut",
+        "non-positive-k"])
 def test_unparsable_input_is_usage_error(bundle, capsys, argv):
     code, _, err = run(capsys, *argv(bundle))
     assert code == 2
@@ -290,21 +311,66 @@ def test_tropical_classify(bundle, tmp_path, capsys):
     assert payload["kind"] == "broken-line" and payload["k_tau"] == 1
 
 
-def test_tropical_multiplicity(bundle, tmp_path, capsys):
+def _pieces_json(u_inc, ks):
     from tests.test_multiplicity import bend_configuration
-    pieces, glue = bend_configuration((1, 0), (2,), 0)
-    data = {
+    pieces, glue = bend_configuration(u_inc, ks, 0)
+    return {
         "pieces": [{"type": p.type.to_json(),
                     "gluing_legs": list(p.gluing_legs)} for p in pieces],
         "edges": [{"ends": [list(e.ends[0]), list(e.ends[1])],
                    "lattice": [list(v) for v in e.lattice]} for e in glue],
     }
-    path = tmp_path / "pieces.json"
+
+
+def _multiplicity(b, capsys, data):
+    path = b["tmp"] / "pieces.json"
     path.write_text(json.dumps(data))
-    code, out, _ = run(capsys, "tropical", "multiplicity", "-g", bundle["g"],
-                       "--pieces", str(path))
-    assert code == 0
-    assert json.loads(out)["multiplicity"] == 1
+    return run(capsys, "tropical", "multiplicity", "-g", b["g"],
+               "--pieces", str(path))
+
+
+def test_tropical_multiplicity(bundle, capsys):
+    for u_inc, ks, expected in (((1, 0), (2,), 1), ((3, -2), (2, 1), 5)):
+        code, out, _ = _multiplicity(bundle, capsys, _pieces_json(u_inc, ks))
+        assert code == 0
+        assert json.loads(out)["multiplicity"] == expected
+
+
+def _set_lattice(data, lattice):
+    data["edges"][0]["lattice"] = lattice
+
+
+def _set_end(data, end):
+    data["edges"][0]["ends"][0] = end
+
+
+def _set_gluing_legs(data, legs):
+    data["pieces"][0]["gluing_legs"] = legs
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: _set_lattice(d, [[0.5, 0], [0, 1]]),
+    lambda d: _set_lattice(d, [[1], [0, 1]]),
+    lambda d: _set_lattice(d, [[1, 0, 0], [0, 1, 0]]),
+    lambda d: _set_end(d, [9, 0]),
+    lambda d: _set_end(d, [-1, 0]),
+    lambda d: _set_end(d, [0, 1]),
+    lambda d: _set_end(d, [0.5, 0]),
+    lambda d: _set_end(d, [0, 0, 0]),
+    lambda d: _set_gluing_legs(d, [0.5]),
+    lambda d: _set_gluing_legs(d, [4]),
+], ids=["non-integral-lattice", "short-lattice-vector",
+        "long-lattice-vector", "missing-piece", "negative-piece",
+        "leg-not-glued", "non-integral-end", "end-not-a-pair",
+        "non-integral-gluing-leg", "missing-gluing-leg"])
+def test_malformed_multiplicity_input_is_usage_error(bundle, capsys, edit):
+    # the bend (3, -2) against walls of multiplicity 2 and 1 has
+    # multiplicity 5 when well formed
+    data = _pieces_json((3, -2), (2, 1))
+    edit(data)
+    code, out, err = _multiplicity(bundle, capsys, data)
+    assert code == 2 and out == ""
+    assert json.loads(err)["schema"] == "wallcross/1"
 
 
 # -- rendering ----------------------------------------------------------------

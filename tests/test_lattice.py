@@ -251,3 +251,56 @@ def test_non_unimodular_transform_raises_under_optimization():
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+# --- the fraction-free determinant -------------------------------------------
+
+def _elementary_product(rng, n, steps):
+    """A product of row shears and row swaps, with its determinant."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    sign = 1
+    for _ in range(steps):
+        i, j = rng.sample(range(n), 2)
+        if rng.random() < 0.2:
+            rows[i], rows[j] = rows[j], rows[i]
+            sign = -sign
+        else:
+            k = rng.randint(-3, 3)
+            rows[i] = [a + k * b for a, b in zip(rows[i], rows[j])]
+    return rows, sign
+
+
+def test_det_matches_minor_oracle_and_stays_integral():
+    from wallcross.linalg import det
+
+    rng = random.Random(20261018)
+    cases = []
+    for n in range(1, 7):
+        for _ in range(12):
+            cases.append([[rng.randint(-9, 9) for _ in range(n)]
+                          for _ in range(n)])
+        if n > 1:
+            # singular: the last row a combination of two others
+            rows = [[rng.randint(-9, 9) for _ in range(n)]
+                    for _ in range(n - 1)]
+            a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+            rows.append([a * x + b * y for x, y in zip(rows[0], rows[-1])])
+            cases.append(rows)
+            # a zero leading entry forces a row swap
+            rows = [[rng.randint(-9, 9) for _ in range(n)]
+                    for _ in range(n)]
+            rows[0][0] = 0
+            cases.append(rows)
+            cases.append([[0] * n] + rows[1:])
+    for rows in cases:
+        got = det(rows)
+        assert type(got) is int
+        assert got == _minor_det(rows, range(len(rows)), range(len(rows)))
+    for steps in (40, 200):
+        rows, sign = _elementary_product(rng, 12, steps)
+        got = det(rows)
+        assert type(got) is int and got == sign
+        scaled = [[3 * x for x in rows[0]]] + rows[1:]
+        assert det(scaled) == 3 * sign
+    assert det([]) == 1
+

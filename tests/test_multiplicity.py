@@ -219,3 +219,36 @@ def test_extra_transverse_factor_in_codim_one(cx, u_inc, ks):
     m_pinned = splitting_multiplicity(pinned, glue, cx).multiplicity
     m_free = splitting_multiplicity(free, glue2, cx).multiplicity
     assert m_pinned == d * m_free
+
+
+def test_multiplicity_computes_each_quantity_once(cx, monkeypatch):
+    """One Smith form of the difference map, read for both its rank and its
+    index, and one exact elimination per gluing edge, not one per column."""
+    from wallcross import lattice, linalg, tropical
+
+    pieces, glue = bend_configuration((3, -2), (2, 1), 0)
+    # the pieces' universal cones are worked out beforehand, so that every
+    # call counted below belongs to the multiplicity itself
+    cones = {p.type: tropical.universal_cone(p.type, cx) for p in pieces}
+    monkeypatch.setattr(tropical, "universal_cone", lambda t, _cx: cones[t])
+    smith_inputs, rank_calls, eliminations = [], [], []
+
+    def counted(log, fn):
+        def wrapper(*args, **kwargs):
+            log.append(args[0])
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for mod in (lattice, tropical):
+        monkeypatch.setattr(mod, "smith_normal_form",
+                            counted(smith_inputs, mod.smith_normal_form))
+    monkeypatch.setattr(linalg, "rank", counted(rank_calls, linalg.rank))
+    monkeypatch.setattr(linalg, "_rref", counted(eliminations, linalg._rref))
+
+    res = splitting_multiplicity(pieces, glue, cx)
+    assert res.multiplicity == 5 and res.rank_ok
+    eps = [list(row) for row in res.epsilon]
+    assert sum(1 for m in smith_inputs if m.to_rows() == eps) == 1
+    assert rank_calls == []
+    assert len(eliminations) == len(glue) == 3
+

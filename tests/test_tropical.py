@@ -297,10 +297,14 @@ def test_parallel_gluing_is_rank_deficient():
 
 def test_difference_outside_stratum_lattice_rejected():
     cx = quadrant_complex()
-    with pytest.raises(TropicalError):
+    pieces = [pinned_piece((1, 0)), pinned_piece((0, 1))]
+    with pytest.raises(TropicalError,
+                       match=r"\[1, 0\] is not in the stratum lattice"):
         splitting_multiplicity(
-            [pinned_piece((1, 0)), pinned_piece((0, 1))],
-            two_piece_edges(lattice=((2, 0), (0, 1))), cx)
+            pieces, two_piece_edges(lattice=((2, 0), (0, 1))), cx)
+    with pytest.raises(TropicalError,
+                       match=r"\[1, 0\] leaves the stratum lattice span"):
+        splitting_multiplicity(pieces, two_piece_edges(lattice=((1, 1),)), cx)
 
 
 def test_multiplicity_along_a_ray_stratum():

@@ -198,6 +198,21 @@ def _bend_choices(f, pairing, A_avail, logs):
     return _undecorated_choices(f, pairing, A_avail)
 
 
+# -- data kept on the structure ----------------------------------------------
+
+def _kept(s: WallStructure, key, compute):
+    """``compute()``, computed once per structure and key.
+
+    The store lives on the frozen structure, so ``replace`` and
+    ``with_walls`` start an empty one; an error raised by ``compute`` is
+    not kept.
+    """
+    store = s._line_data
+    if key not in store:
+        store[key] = compute()
+    return store[key]
+
+
 # -- candidate monomials and genericity --------------------------------------
 
 def _candidate_monomials(s: WallStructure, p_cone, p):
@@ -225,7 +240,7 @@ def _candidate_monomials(s: WallStructure, p_cone, p):
             if state not in seen:
                 seen.add(state)
                 frontier.append(state)
-    return seen
+    return frozenset(seen)
 
 
 def genericity_hyperplanes(s: WallStructure, chart, candidates):
@@ -453,7 +468,9 @@ def _asymptotic(s: WallStructure, p, cone):
         raise UnsupportedDimension(
             "broken-line enumeration is implemented for surfaces")
     p_cone, p_vec = _exponent(p, tuple(cone))
-    return p_cone, p_vec, _candidate_monomials(s, p_cone, p_vec)
+    return p_cone, p_vec, _kept(
+        s, ("candidates", p_cone, p_vec),
+        lambda: _candidate_monomials(s, p_cone, p_vec))
 
 
 def enumerate_lines(s: WallStructure, p, x: PointInChart,
@@ -471,6 +488,14 @@ def _lines(s: WallStructure, asymptotic, x: PointInChart, decorated, seed):
         raise BrokenLineError(
             "the asymptotic exponent must lie in its chart cone")
     _ensure_generic(s, x, candidates, seed=seed)
+    return list(_kept(
+        s, ("lines", p_cone, p_vec, x, decorated),
+        lambda: _trace_family(s, asymptotic, x, decorated)))
+
+
+def _trace_family(s: WallStructure, asymptotic, x: PointInChart, decorated):
+    """The lines of ``_lines``, traced from the endpoint x, as a tuple."""
+    p_cone, p_vec, candidates = asymptotic
     raw = []
     for chart, A, m in sorted(candidates):
         if chart != tuple(x.cone) or not any(m):
@@ -483,8 +508,8 @@ def _lines(s: WallStructure, asymptotic, x: PointInChart, decorated, seed):
                                       (chart, A, m), bends, trace, states))
     raw.sort(key=lambda line: (len(line.bends), repr(line.trace)))
     if decorated:
-        return [DecoratedBrokenLine(line=line) for line in raw]
-    return raw
+        return tuple(DecoratedBrokenLine(line=line) for line in raw)
+    return tuple(raw)
 
 
 def theta(s: WallStructure, p, x: PointInChart,
@@ -518,7 +543,13 @@ def chambers_containing(s: WallStructure, r_cone, r):
             and cone_coords((ch.lower, ch.upper), r) is not None]
 
 
-def _sample_in_chamber(s, ch: Chamber, cands, seed):
+def _sample_in_chamber(s, ch: Chamber, cands: frozenset, seed):
+    """A point of ``ch`` generic for the candidate monomials ``cands``."""
+    return _kept(s, ("sample", ch, cands, seed),
+                 lambda: _draw_in_chamber(s, ch, cands, seed))
+
+
+def _draw_in_chamber(s, ch: Chamber, cands, seed):
     rng = random.Random(seed)
     for _ in range(128):
         l1 = Fraction(rng.randint(1, 996), 997)

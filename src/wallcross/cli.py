@@ -185,7 +185,7 @@ def _cmd_scatter(args):
 
 def _cmd_tropical_classify(args):
     cx = load_geometry(args.geometry)
-    t = TropicalType.from_json(_load_json(args.type))
+    t = _tropical_type(_load_json(args.type), cx)
     cls = classify(t, cx)
     _emit(args, {"schema": SCHEMA, "kind": cls.kind,
                  "dim_type": cls.dim_type, "dim_out": cls.dim_out,
@@ -198,7 +198,7 @@ def _cmd_tropical_classify(args):
 def _cmd_tropical_multiplicity(args):
     cx = load_geometry(args.geometry)
     data = _load_json(args.pieces)
-    pieces = [_split_piece(p) for p in data["pieces"]]
+    pieces = [_split_piece(p, cx) for p in data["pieces"]]
     edges = [_gluing_edge(item, pieces, cx.n) for item in data["edges"]]
     res = splitting_multiplicity(pieces, edges, cx)
     _emit(args, {"schema": SCHEMA, "multiplicity": res.multiplicity,
@@ -207,8 +207,14 @@ def _cmd_tropical_multiplicity(args):
     return 0
 
 
-def _split_piece(data) -> SplitPiece:
-    t = TropicalType.from_json(data["type"])
+def _tropical_type(data, cx) -> TropicalType:
+    t = TropicalType.from_json(data)
+    t.check_lengths(cx.n, cx.curve_rank)
+    return t
+
+
+def _split_piece(data, cx) -> SplitPiece:
+    t = _tropical_type(data["type"], cx)
     legs = integer_vector(data["gluing_legs"])
     for leg in legs:
         if not 0 <= leg < len(t.legs):

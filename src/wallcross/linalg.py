@@ -88,10 +88,11 @@ def nullspace(m: Sequence[Sequence], cols: int | None = None) -> list[Vector]:
     return basis
 
 
-def solve_columns(m: Sequence[Sequence],
-                  bs: Sequence[Sequence]) -> list[Vector | None]:
+def solve_columns(m: Sequence[Sequence], bs: Sequence[Sequence]
+                  ) -> tuple[list[Vector | None], int]:
     """One exact solution of m x = b for each b in bs (None where m x = b
-    is inconsistent), all from one elimination of m augmented by every b."""
+    is inconsistent), and the rank of m, all from one elimination of m
+    augmented by every b."""
     cols = len(m[0]) if m else 0
     aug = [[Fraction(x) for x in row] + [Fraction(b[i]) for b in bs]
            for i, row in enumerate(m)]
@@ -106,12 +107,13 @@ def solve_columns(m: Sequence[Sequence],
         for r, p in enumerate(pivots):
             x[p] = red[r][k]
         out.append(tuple(x))
-    return out
+    return out, rk
 
 
 def solve(m: Sequence[Sequence], b: Sequence) -> Vector | None:
     """One exact solution of m x = b, or None if inconsistent."""
-    return solve_columns(m, [b])[0]
+    [x], _rank = solve_columns(m, [b])
+    return x
 
 
 def cone_coords(generators: Sequence[Sequence], v: Sequence) -> Vector | None:

@@ -30,6 +30,7 @@ from .lattice import (
     kernel_basis,
     smith_normal_form,
 )
+from .ring import integer, integer_vector
 
 ConeId = tuple
 
@@ -120,18 +121,40 @@ class TropicalType:
 
     @classmethod
     def from_json(cls, data) -> "TropicalType":
+        """A type read from JSON; a non-integral index or entry is a
+        ``ValueError``.  Vector lengths are checked by ``check_lengths``."""
         return cls(
             vertices=tuple(
-                Vertex(cone=tuple(v["cone"]),
-                       A=tuple(v["A"]) if "A" in v else None,
-                       rays=tuple(tuple(r) for r in v["rays"])
+                Vertex(cone=integer_vector(v["cone"]),
+                       A=integer_vector(v["A"]) if "A" in v else None,
+                       rays=tuple(integer_vector(r) for r in v["rays"])
                        if "rays" in v else None)
                 for v in data["vertices"]),
-            edges=tuple(Edge(v=tuple(e["v"]), u=tuple(e["u"]))
+            edges=tuple(Edge(v=integer_vector(e["v"]),
+                             u=integer_vector(e["u"]))
                         for e in data["edges"]),
-            legs=tuple(Leg(v=l["v"], u=tuple(l["u"]), role=l.get("role"))
+            legs=tuple(Leg(v=integer(l["v"]), u=integer_vector(l["u"]),
+                           role=l.get("role"))
                        for l in data["legs"]),
         )
+
+    def check_lengths(self, n: int, curve_rank: int) -> None:
+        """Raise ``ValueError`` unless every edge joins two vertices, every
+        contact order and ray has length n and every class curve_rank."""
+        for e in self.edges:
+            if len(e.v) != 2:
+                raise ValueError(f"edge {list(e.v)} does not join two "
+                                 "vertices")
+        vectors = [e.u for e in self.edges] + [l.u for l in self.legs] + \
+            [r for v in self.vertices for r in v.rays or ()]
+        for u in vectors:
+            if len(u) != n:
+                raise ValueError(f"type vector {list(u)} does not have "
+                                 f"length {n}")
+        for v in self.vertices:
+            if v.A is not None and len(v.A) != curve_rank:
+                raise ValueError(f"curve class {list(v.A)} does not have "
+                                 f"length {curve_rank}")
 
 
 # -- chart selection ---------------------------------------------------------
@@ -589,7 +612,7 @@ def _in_lattice_basis(vecs, lattice):
         return []
     basis = [[b[j] for b in lattice] for j in range(len(vecs[0]))]
     out = []
-    for vec, sol in zip(vecs, linalg.solve_columns(basis, vecs)):
+    for vec, sol in zip(vecs, linalg.solve_columns(basis, vecs)[0]):
         if sol is None:
             raise TropicalError(
                 f"evaluation difference {vec} leaves the stratum lattice span")
@@ -627,11 +650,9 @@ def transverse_check(pieces: Sequence[SplitPiece],
     target = []
     for v in nu:
         target.extend(int(x) for x in v)
-    rows = [[Fraction(col[i]) for col in columns]
-            for i in range(len(target))]
-    sol = linalg.solve(rows, [Fraction(x) for x in target])
+    rows = [[col[i] for col in columns] for i in range(len(target))]
+    [sol], rk = linalg.solve_columns(rows, [target])
     member = sol is not None
-    rk = linalg.rank(rows)
     surjective = rk == len(target)
     nu_general = surjective or not member
     return TransverseReport(member=member, surjective=surjective,

@@ -93,6 +93,12 @@ class WallStructure:
     def _logs_by_chart(self) -> dict:
         return {}
 
+    @cached_property
+    def _line_data(self) -> dict:
+        """Broken-line data derived from this structure, kept by
+        ``broken``: candidate monomials, line families, sample points."""
+        return {}
+
     def wall_logs(self, chart: ConeId) -> dict[int, list]:
         """Log terms of every wall visible in ``chart``, in that chart.
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import time
 from collections import Counter
 from fractions import Fraction
@@ -10,7 +11,7 @@ from math import comb
 
 import pytest
 
-from wallcross import geometry, linalg, ring
+from wallcross import broken, geometry, linalg, ring
 from wallcross.broken import (
     alpha_trop,
     chambers_containing,
@@ -518,3 +519,67 @@ def test_wall_data_is_derived_once_per_structure(monkeypatch):
     charts = len(s.complex.maximal_cones)
     assert 0 < len(logs) <= len(s.walls) * charts
     assert 0 < len(kernels) <= len(s.walls)
+
+
+# -- line data kept on the structure -----------------------------------------
+
+def test_alpha_traces_each_line_family_once(monkeypatch):
+    """Structure constants of one (p1, p2) at every r of one chamber end at
+    one sample point, and each line family is traced from it once."""
+    traced = Counter()
+    trace = broken._trace
+
+    def counting_trace(s, chart, point, A, m, *rest):
+        *_, p_cone, p, decorated, depth = rest
+        if depth == 0:
+            traced[(chart, point, A, m, p_cone, p, decorated)] += 1
+        return trace(s, chart, point, A, m, *rest)
+
+    monkeypatch.setattr(broken, "_trace", counting_trace)
+    s = quadrant(bound=3)
+    ch = s.chambers[0]
+    rs = [r for r in itertools.product(range(4), repeat=2)
+          if chambers_containing(s, CONE, r)[:1] == [ch]]
+    values = {r: alpha_trop(s, (1, 0), (0, 1), r) for r in rs}
+    assert len(rs) > 2 and len({res.x for res in values.values()}) == 1
+    assert traced and max(traced.values()) == 1
+    # theta_x theta_y = z^(1,1) + t on the quadrant
+    for r, res in values.items():
+        want = {(1, 1): [{"A": [0], "m": [0, 0], "c": "1/1"}],
+                (0, 0): [{"A": [1], "m": [0, 0], "c": "1/1"}]}.get(r, [])
+        assert res.value.to_json() == want
+
+
+def test_with_walls_copy_traces_its_own_lines():
+    """A copy with another wall function does not read the lines kept on
+    the structure it was made from."""
+    s = quadrant(bound=2)
+    x = pt(3, 7)
+    before = theta(s, (1, 0), x)
+    other = quadrant(bound=2, wall_coeff=2)
+    copy = s.with_walls([dataclasses.replace(
+        s.walls[0], function=other.walls[0].function)])
+    assert theta(copy, (1, 0), x) == theta(other, (1, 0), x) != before
+    assert theta(s, (1, 0), x) == before
+
+
+def test_non_generic_endpoint_raises_on_every_call():
+    s = quadrant()
+    enumerate_lines(s, (1, 0), X_ABOVE)
+    raised = []
+    for _ in range(2):
+        with pytest.raises(NonGenericEndpoint) as info:
+            enumerate_lines(s, (1, 0), pt(4, 4))
+        raised.append((str(info.value), info.value.hyperplane,
+                       info.value.suggestion))
+    assert raised[0] == raised[1] and raised[0][2] is not None
+
+
+def test_enumerate_lines_returns_a_fresh_list():
+    s = quadrant(bound=2)
+    x = pt(3, 7)
+    lines = enumerate_lines(s, (1, 0), x)
+    want = list(lines)
+    lines.reverse()
+    lines.pop()
+    assert enumerate_lines(s, (1, 0), x) == want

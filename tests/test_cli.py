@@ -311,6 +311,36 @@ def test_tropical_classify(bundle, tmp_path, capsys):
     assert payload["kind"] == "broken-line" and payload["k_tau"] == 1
 
 
+@pytest.mark.parametrize("path, value", [
+    (("legs", 0, "u"), [1, 0, 0]),
+    (("legs", 0, "u"), [1.5, 0]),
+    (("legs", 1, "v"), 0.5),
+    (("edges", 0, "u"), [1]),
+    (("edges", 0, "v"), [1, 0, 0]),
+    (("vertices", 0, "rays"), [[1, 1, 1]]),
+    (("vertices", 1, "A"), [1, 0]),
+    (("vertices", 1, "A"), [0.5]),
+    (("vertices", 0, "cone"), [0, 1.5]),
+], ids=["long-contact-order", "non-integral-contact-order",
+        "non-integral-leg-vertex", "short-edge-contact-order",
+        "edge-not-a-pair", "long-ray", "long-class", "non-integral-class",
+        "non-integral-cone"])
+def test_malformed_type_is_usage_error(bundle, tmp_path, capsys, path,
+                                       value):
+    data = bent_line_type().to_json()
+    *keys, last = path
+    item = data
+    for key in keys:
+        item = item[key]
+    item[last] = value
+    type_path = tmp_path / "type.json"
+    type_path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "tropical", "classify", "-g", bundle["g"],
+                         "--type", str(type_path))
+    assert code == 2 and out == ""
+    assert json.loads(err)["schema"] == "wallcross/1"
+
+
 def _pieces_json(u_inc, ks):
     from tests.test_multiplicity import bend_configuration
     pieces, glue = bend_configuration(u_inc, ks, 0)
@@ -348,6 +378,10 @@ def _set_gluing_legs(data, legs):
     data["pieces"][0]["gluing_legs"] = legs
 
 
+def _set_leg(data, u):
+    data["pieces"][0]["type"]["legs"][0]["u"] = u
+
+
 @pytest.mark.parametrize("edit", [
     lambda d: _set_lattice(d, [[0.5, 0], [0, 1]]),
     lambda d: _set_lattice(d, [[1], [0, 1]]),
@@ -359,10 +393,13 @@ def _set_gluing_legs(data, legs):
     lambda d: _set_end(d, [0, 0, 0]),
     lambda d: _set_gluing_legs(d, [0.5]),
     lambda d: _set_gluing_legs(d, [4]),
+    lambda d: _set_leg(d, [3, -2, 1]),
+    lambda d: _set_leg(d, [3.5, -2]),
 ], ids=["non-integral-lattice", "short-lattice-vector",
         "long-lattice-vector", "missing-piece", "negative-piece",
         "leg-not-glued", "non-integral-end", "end-not-a-pair",
-        "non-integral-gluing-leg", "missing-gluing-leg"])
+        "non-integral-gluing-leg", "missing-gluing-leg",
+        "long-contact-order", "non-integral-contact-order"])
 def test_malformed_multiplicity_input_is_usage_error(bundle, capsys, edit):
     # the bend (3, -2) against walls of multiplicity 2 and 1 has
     # multiplicity 5 when well formed

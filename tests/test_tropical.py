@@ -343,6 +343,30 @@ def test_transverse_special_displacement_flagged():
     assert rep.member and not rep.surjective and not rep.nu_general
 
 
+def test_transverse_check_eliminates_once(monkeypatch):
+    """Membership and rank come from one elimination of the augmented
+    matching system."""
+    from wallcross import linalg, tropical
+
+    cx = quadrant_complex()
+    pieces = [pinned_piece((1, 0)), pinned_piece((1, 0))]
+    # the universal cones are worked out beforehand, so that every
+    # elimination counted below belongs to the check itself
+    cones = {p.type: universal_cone(p.type, cx) for p in pieces}
+    monkeypatch.setattr(tropical, "universal_cone", lambda t, _cx: cones[t])
+    eliminations = []
+    rref = linalg._rref
+
+    def counting_rref(*args, **kwargs):
+        eliminations.append(args[0])
+        return rref(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "_rref", counting_rref)
+    rep = transverse_check(pieces, two_piece_edges(), [(1, 0)], cx)
+    assert rep.member and not rep.surjective and not rep.nu_general
+    assert len(eliminations) == 1
+
+
 # -- contact orders -----------------------------------------------------------
 
 def test_contact_multiplicity_with_axis():

@@ -10,7 +10,9 @@ terminates under truncation.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,10 +30,11 @@ from .errors import (
     WrongSideCrossing,
 )
 from .geometry import GenericPointSampler, PointInChart
-from .linalg import cone_coords, mat_vec
+from .linalg import det, mat_vec
 from .ring import RingElement, Truncation
 from .tropical import Edge, Leg, TropicalType, Vertex
-from .walls import Chamber, Wall, WallStructure, _cone_key, primitive
+from .walls import (Chamber, Wall, WallStructure, _cone_key, cross_wall,
+                    primitive)
 
 ConeId = tuple
 
@@ -106,10 +109,6 @@ class BrokenLine:
 class DecoratedBrokenLine:
     line: BrokenLine
 
-    @property
-    def mus(self):
-        return tuple(b.mu for b in self.line.bends)
-
 
 # -- transport ---------------------------------------------------------------
 
@@ -118,50 +117,23 @@ def transport_results(mono: RingElement, wall: Wall,
     """All results of transporting a monomial across a wall.
 
     The conormal is oriented positive on the incoming side; the results are
-    the terms of f^(pairing) times the monomial, in sorted order (the first
-    is the straight continuation).
+    the terms of ``walls.cross_wall`` of the monomial, in sorted order (the
+    first is the straight continuation).
     """
-    [(key, coeff)] = list(mono.sorted_terms())
-    _A, m = key
-    n = wall.normal
-    side = _dot(n, incoming_side)
-    if side < 0:
-        n = tuple(-x for x in n)
-    elif side == 0:
+    [((_A, m), _c)] = mono.sorted_terms()
+    side = _dot(wall.normal, incoming_side)
+    if side == 0:
         raise WrongSideCrossing("incoming side lies on the wall")
-    pairing = _dot(n, m)
+    pairing = _dot(wall.normal, m) if side > 0 else -_dot(wall.normal, m)
     if pairing <= 0:
         raise WrongSideCrossing(
             f"pairing {pairing} is not positive on the incoming side")
-    F = wall.function.pow_int(pairing)
-    out = []
-    for (A_e, e), c in F.sorted_terms():
-        term = RingElement.monomial(A_e, e, c, mono.cone, mono.trunc)
-        prod = term.mul(mono)
-        if not prod.is_zero():
-            out.append(prod)
-    return out
-
-
-def transport_result(mono: RingElement, wall: Wall, incoming_side: Sequence,
-                     index: int) -> RingElement:
-    """The index-th result of transport across a wall (0 = straight)."""
-    return transport_results(mono, wall, incoming_side)[index]
+    return [RingElement.monomial(A, e, c, mono.cone, mono.trunc)
+            for (A, e), c in cross_wall(mono, wall,
+                                        incoming_side).sorted_terms()]
 
 
 # -- bend choices ------------------------------------------------------------
-
-def _undecorated_choices(f: RingElement, pairing: int, A_avail):
-    F = f.pow_int(pairing)
-    out = []
-    for (A_e, e), c in F.sorted_terms():
-        if not any(A_e) and not any(e):
-            continue
-        if any(A_e[i] > A_avail[i] for i in range(len(A_avail))):
-            continue
-        out.append((A_e, e, c, ("t", A_e, e), None))
-    return out
-
 
 def _decorated_choices(logs, pairing: int, A_avail, n: int):
     out = []
@@ -190,12 +162,26 @@ def _decorated_choices(logs, pairing: int, A_avail, n: int):
     return out
 
 
-def _bend_choices(f, pairing, A_avail, logs):
-    """Bends across the function f: decorated by its log terms ``logs``
-    if they are given, else by the terms of its power."""
+def _bends(f, pairing, A, m, logs):
+    """The bends across the function f of a segment of class A and exponent
+    m, going back from the endpoint: (trace id, class and exponent before
+    the bend, the fields of its ``Bend`` that do not place it).
+
+    A bend is decorated by the log terms ``logs`` of f if they are given,
+    else by a term of f^pairing; none takes more class than A has.
+    """
     if logs is not None:
-        return _decorated_choices(logs, pairing, A_avail, f.n)
-    return _undecorated_choices(f, pairing, A_avail)
+        choices = _decorated_choices(logs, pairing, A, f.n)
+    else:
+        choices = [(dA, dm, c, ("t", dA, dm), None)
+                   for (dA, dm), c in f.pow_int(pairing).sorted_terms()
+                   if (any(dA) or any(dm))
+                   and all(d <= a for d, a in zip(dA, A))]
+    return [(cid, tuple(a - b for a, b in zip(A, dA)),
+             tuple(a - b for a, b in zip(m, dm)),
+             dict(pairing=pairing, delta_class=dA, delta_exponent=dm,
+                  coeff=c, mu=mu))
+            for dA, dm, c, cid, mu in choices]
 
 
 # -- data kept on the structure ----------------------------------------------
@@ -244,23 +230,23 @@ def _candidate_monomials(s: WallStructure, p_cone, p):
 
 
 def genericity_hyperplanes(s: WallStructure, chart, candidates):
-    """Homogeneous hyperplanes a generic endpoint must avoid."""
-    hps = set()
-    for w in s.walls:
-        if w.cone == chart:
-            hps.add(w.normal)
-    for ch, _A, m in candidates:
-        if ch == chart and any(m):
-            hps.add(primitive((-m[1], m[0])))
-    return sorted(hps)
+    """Homogeneous hyperplanes a generic endpoint must avoid, computed once
+    per structure, chart and candidate set."""
+    def compute():
+        hps = {w.normal for w in s.walls if w.cone == chart}
+        hps.update(primitive((-m[1], m[0])) for ch, _A, m in candidates
+                   if ch == chart and any(m))
+        return tuple(sorted(hps))
+
+    return _kept(s, ("hyperplanes", chart, candidates), compute)
 
 
 def _ensure_generic(s: WallStructure, x: PointInChart, candidates,
                     seed: int = 0):
-    hps = genericity_hyperplanes(s, x.cone, candidates)
     if any(c <= 0 for c in x.coords):
         raise NonGenericEndpoint(
             "endpoint must lie in the open chamber interior")
+    hps = genericity_hyperplanes(s, x.cone, candidates)
     for h in hps:
         if _dot(h, x.coords) == 0:
             sampler = GenericPointSampler(seed)
@@ -269,7 +255,6 @@ def _ensure_generic(s: WallStructure, x: PointInChart, candidates,
             raise NonGenericEndpoint(
                 f"endpoint lies on the hyperplane {h}",
                 hyperplane=h, suggestion=suggestion)
-    return hps
 
 
 # -- enumeration -------------------------------------------------------------
@@ -352,106 +337,62 @@ def _same_asymptotic(cx, chart, m, p_cone, p):
     return m[c.pos] == 0 and mat_vec(c.matrix, m) == tuple(p)
 
 
-def _trace(s, chart, point, A, m, bends_rev, trace_rev, states_rev, out,
-           p_cone, p, decorated, depth):
+def _trace(s, chart, point, A, m, p_cone, p, decorated, depth):
+    """The paths from the segment of class A and exponent m through
+    ``point`` back to the asymptotic exponent p of ``p_cone``.
+
+    Each path is a tuple of steps (trace record, bend or None, state
+    (chart, class, exponent) after the step), ordered from the endpoint
+    back.
+    """
     cx = s.complex
     if depth > _TRACE_LIMIT:
         raise WallError("broken-line tracing did not terminate")
     if not any(m):
         return
     events, exit_info = _ray_events(s, chart, point, m)
+    straight = tuple((("wall", chart, _cone_key(w.support), "straight"),
+                      None, (chart, A, m)) for _t, _i, w, _q in events)
     # bend at event k, passing straight through the earlier ones
-    for k, (t_k, i_k, w_k, q_k) in enumerate(events):
-        pairing = abs(_dot(w_k.normal, m))
-        straight = [("wall", chart, _cone_key(s.walls[i].support), "straight")
-                    for _t, i, _w, _q in events[:k]]
-        logs = _bend_logs(s, chart, i_k) if decorated else None
-        for dA, dm, c, cid, mu in _bend_choices(w_k.function, pairing, A,
-                                                logs):
-            A2 = tuple(a - b for a, b in zip(A, dA))
-            if any(a < 0 for a in A2):
-                continue
-            m2 = tuple(a - b for a, b in zip(m, dm))
-            if not any(m2):
-                continue
-            bend = Bend(cone=chart, point=q_k,
-                        cell=_cone_key(w_k.support), wall_index=i_k,
-                        pairing=pairing, delta_class=tuple(dA),
-                        delta_exponent=tuple(dm), coeff=c, mu=mu)
-            _trace(s, chart, q_k, A2, m2,
-                   bends_rev + [bend],
-                   trace_rev + straight +
-                   [("wall", chart, _cone_key(w_k.support), cid)],
-                   states_rev + [(chart, A2, m2)],
-                   out, p_cone, p, decorated, depth + 1)
-    # straight through every wall crossing
-    straight = [("wall", chart, _cone_key(s.walls[i].support), "straight")
-                for _t, i, _w, _q in events]
+    for k, (_t, i, w, q) in enumerate(events):
+        cell = _cone_key(w.support)
+        logs = _bend_logs(s, chart, i) if decorated else None
+        for cid, A2, m2, fields in _bends(w.function, abs(_dot(w.normal, m)),
+                                          A, m, logs):
+            step = (("wall", chart, cell, cid),
+                    Bend(cone=chart, point=q, cell=cell, wall_index=i,
+                         **fields), (chart, A2, m2))
+            for rest in _trace(s, chart, q, A2, m2, p_cone, p, decorated,
+                               depth + 1):
+                yield straight[:k] + (step,) + rest
     if exit_info is None:
         # the predecessor ray escapes to infinity inside this chart
-        if all(a == 0 for a in A) and _same_asymptotic(cx, chart, m,
-                                                       p_cone, p):
-            out.append((list(reversed(bends_rev)),
-                        list(reversed(trace_rev + straight)),
-                        list(reversed(states_rev))))
+        if not any(A) and _same_asymptotic(cx, chart, m, p_cone, p):
+            yield straight
         return
-    exit_t, exit_pos = exit_info
-    crossing = cx.crossings(chart).get(exit_pos)
-    if crossing is None:
+    exit_t, pos = exit_info
+    c = cx.crossings(chart).get(pos)
+    if c is None:
         return  # the ray leaves through the boundary of B
-    rho, chart2, matrix, kink = (crossing.rho, crossing.target,
-                                 crossing.matrix, crossing.kink)
-    q = tuple(c + exit_t * x for c, x in zip(point, m))
-    f_slab, slab_index = _slab_function(s, chart, rho, q)
-    pairing = -m[exit_pos]
-    choices = [((0,) * cx.curve_rank, (0,) * cx.n, Fraction(1),
-                "straight", None)]
-    if f_slab is not None:
-        logs = _bend_logs(s, chart, slab_index, (rho, q)) if decorated \
-            else None
-        choices += _bend_choices(f_slab, pairing, A, logs)
-    for dA, dm, c, cid, mu in choices:
-        A2 = tuple(a - b for a, b in zip(A, dA))
-        if any(a < 0 for a in A2):
-            continue
-        m2 = tuple(a - b for a, b in zip(m, dm))
+    q = tuple(a + exit_t * x for a, x in zip(point, m))
+    f, first = _slab_function(s, chart, c.rho, q)
+    bends = [("straight", A, m, None)]
+    if f is not None:
+        logs = ring.log_unipotent(f).sorted_terms() if decorated else None
+        bends += _bends(f, -m[pos], A, m, logs)
+    for cid, A2, m2, fields in bends:
         # backward transport into the neighbouring chart
-        A3 = tuple(a + m2[exit_pos] * kk for a, kk in zip(A2, kink))
+        A3 = tuple(a + m2[pos] * k for a, k in zip(A2, c.kink))
         if any(a < 0 for a in A3):
             continue
-        m3 = mat_vec(matrix, m2)
-        q3 = mat_vec(matrix, q)
-        new_bends = bends_rev
-        new_states = states_rev
-        if cid != "straight":
-            new_bends = bends_rev + [Bend(
-                cone=chart, point=q, cell=rho, wall_index=slab_index,
-                pairing=pairing, delta_class=tuple(dA),
-                delta_exponent=tuple(dm), coeff=c, mu=mu, on_slab=True,
-                kink_class=kink)]
-            new_states = states_rev + [(chart2, A3, m3)]
-        _trace(s, chart2, q3, A3, m3, new_bends,
-               trace_rev + straight + [("rho", rho, cid)],
-               new_states, out, p_cone, p, decorated, depth + 1)
-
-
-def _assemble_line(s, x, p_cone, p, cand, bends, trace, states):
-    """Attach forward coefficients to the recorded backward segment states.
-
-    ``states`` lists (chart, class, exponent) for every segment from the
-    final one at the endpoint back to the asymptotic one; reversed here.
-    The asymptotic coefficient is 1 and each bend multiplies it.
-    """
-    segments = []
-    coeff = Fraction(1)
-    all_states = states + [cand]  # asymptotic-first after the reversal above
-    for i, (chart, A, m) in enumerate(all_states):
-        if i > 0:
-            coeff = coeff * bends[i - 1].coeff
-        segments.append((tuple(chart), tuple(A), tuple(m), coeff))
-    return BrokenLine(x=x, p=tuple(p), p_cone=tuple(p_cone),
-                      bends=tuple(bends), segments=tuple(segments),
-                      trace=tuple(trace))
+        m3 = mat_vec(c.matrix, m2)
+        bend = None if fields is None else Bend(
+            cone=chart, point=q, cell=c.rho, wall_index=first, on_slab=True,
+            kink_class=c.kink, **fields)
+        step = (("rho", c.rho, cid), bend, (c.target, A3, m3))
+        for rest in _trace(s, c.target, mat_vec(c.matrix, q), A3, m3,
+                           p_cone, p, decorated, depth + 1):
+            yield straight + (step,) + rest
 
 
 def _exponent(p, cone):
@@ -494,18 +435,30 @@ def _lines(s: WallStructure, asymptotic, x: PointInChart, decorated, seed):
 
 
 def _trace_family(s: WallStructure, asymptotic, x: PointInChart, decorated):
-    """The lines of ``_lines``, traced from the endpoint x, as a tuple."""
+    """The lines of ``_lines``, traced from the endpoint x, as a tuple.
+
+    A line's segments run from the asymptotic one to the final one; each
+    but the final one is the state after a bend going back.  The
+    asymptotic coefficient is 1 and each bend multiplies it.
+    """
     p_cone, p_vec, candidates = asymptotic
     raw = []
-    for chart, A, m in sorted(candidates):
+    for final in sorted(candidates):
+        chart, A, m = final
         if chart != tuple(x.cone) or not any(m):
             continue
-        found = []
-        _trace(s, chart, tuple(Fraction(c) for c in x.coords), A, m,
-               [], [], [], found, p_cone, p_vec, decorated, 0)
-        for bends, trace, states in found:
-            raw.append(_assemble_line(s, x, p_cone, p_vec,
-                                      (chart, A, m), bends, trace, states))
+        for path in _trace(s, chart, tuple(Fraction(c) for c in x.coords),
+                           A, m, p_cone, p_vec, decorated, 0):
+            path = path[::-1]
+            bends = tuple(b for _r, b, _st in path if b is not None)
+            states = [st for _r, b, st in path if b is not None] + [final]
+            coeffs = itertools.accumulate((b.coeff for b in bends),
+                                          operator.mul, initial=Fraction(1))
+            raw.append(BrokenLine(
+                x=x, p=tuple(p_vec), p_cone=tuple(p_cone), bends=bends,
+                segments=tuple((tuple(ch), tuple(A_), tuple(m_), a)
+                               for (ch, A_, m_), a in zip(states, coeffs)),
+                trace=tuple(r for r, _b, _st in path)))
     raw.sort(key=lambda line: (len(line.bends), repr(line.trace)))
     if decorated:
         return tuple(DecoratedBrokenLine(line=line) for line in raw)
@@ -539,8 +492,18 @@ class AlphaResult:
 
 
 def chambers_containing(s: WallStructure, r_cone, r):
-    return [ch for ch in s.chambers if tuple(ch.cone) == tuple(r_cone)
-            and cone_coords((ch.lower, ch.upper), r) is not None]
+    """The chambers of chart ``r_cone`` whose closed cone holds r.
+
+    By Cramer's rule r = a·lower + b·upper with a = det(r, upper)/D and
+    b = det(lower, r)/D, where D = det(lower, upper).
+    """
+    out = []
+    for ch in s.chambers:
+        if tuple(ch.cone) == tuple(r_cone):
+            D = det((ch.lower, ch.upper))
+            if det((r, ch.upper)) * D >= 0 and det((ch.lower, r)) * D >= 0:
+                out.append(ch)
+    return out
 
 
 def _sample_in_chamber(s, ch: Chamber, cands: frozenset, seed):
@@ -551,17 +514,16 @@ def _sample_in_chamber(s, ch: Chamber, cands: frozenset, seed):
 
 def _draw_in_chamber(s, ch: Chamber, cands, seed):
     rng = random.Random(seed)
+    hps = genericity_hyperplanes(s, tuple(ch.cone), cands)
     for _ in range(128):
         l1 = Fraction(rng.randint(1, 996), 997)
         l2 = Fraction(rng.randint(1, 1008), 1009)
         coords = tuple(l1 * a + l2 * b
                        for a, b in zip(ch.lower, ch.upper))
-        x = PointInChart(cone=tuple(ch.cone), coords=coords, ambient=True)
-        try:
-            _ensure_generic(s, x, cands, seed=seed)
-            return x
-        except NonGenericEndpoint:
-            continue
+        if all(c > 0 for c in coords) and all(_dot(h, coords) != 0
+                                              for h in hps):
+            return PointInChart(cone=tuple(ch.cone), coords=coords,
+                                ambient=True)
     raise NonGenericEndpoint("no generic point found in the chamber")
 
 

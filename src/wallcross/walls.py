@@ -87,7 +87,7 @@ class WallStructure:
     @cached_property
     def chambers(self) -> tuple["Chamber", ...]:
         """Chambers of the refined decomposition (two-dimensional only)."""
-        return planar_chambers(self).chambers
+        return planar_chambers(self)
 
     @cached_property
     def _logs_by_chart(self) -> dict:
@@ -445,13 +445,6 @@ class Chamber:
     upper: tuple[int, int]
 
 
-@dataclass(frozen=True)
-class RefinedStructure:
-    structure: WallStructure
-    chambers: tuple[Chamber, ...]
-    joints: tuple[tuple, ...]  # (cone id or None for apex, ray)
-
-
 def refine(s: WallStructure) -> WallStructure:
     """Merge coincident-support walls; deterministic ordering.  A refined
     structure is returned as it is, keeping the data cached on it."""
@@ -475,7 +468,7 @@ def _cone_key(support):
     return tuple(sorted(primitive(g) for g in support))
 
 
-def planar_chambers(s: WallStructure) -> RefinedStructure:
+def planar_chambers(s: WallStructure) -> tuple[Chamber, ...]:
     """Chamber decomposition of a two-dimensional structure."""
     cx = s.complex
     if cx.n != 2:
@@ -483,20 +476,17 @@ def planar_chambers(s: WallStructure) -> RefinedStructure:
             "chamber decomposition implemented for 2-dimensional complexes")
     s = refine(s)
     chambers = []
-    joints = []
     for cone in cx.maximal_cones:
         rays = {(1, 0), (0, 1)}
         for w in s.walls:
             if w.cone == cone:
                 rays.add(primitive(w.support[0]))
-                joints.append((cone, primitive(w.support[0])))
         ordered = sorted(rays, key=lambda r: Fraction(r[0], r[0] + r[1]))
         # sort by angle within the first quadrant: x/(x+y) increases from
         # the vertical ray (0,1) to the horizontal ray (1,0)
         for lo, hi in zip(ordered, ordered[1:]):
             chambers.append(Chamber(cone=cone, lower=lo, upper=hi))
-    return RefinedStructure(structure=s, chambers=tuple(chambers),
-                            joints=tuple(sorted(set(joints))))
+    return tuple(chambers)
 
 
 # -- crossing ----------------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import random
 import time
 from collections import Counter
 from fractions import Fraction
@@ -18,7 +19,6 @@ from wallcross.broken import (
     decorated_to_type,
     enumerate_lines,
     theta,
-    transport_result,
     transport_results,
     type_to_line,
 )
@@ -188,7 +188,7 @@ def mono(A, m, s, c=1):
 def test_transport_straight_choice():
     s = quadrant()
     z = mono((0,), (1, 0), s)
-    assert transport_result(z, s.walls[0], (2, 1), 0) == z
+    assert transport_results(z, s.walls[0], (2, 1))[0] == z
 
 
 def test_transport_two_results_for_pairing_one():
@@ -410,6 +410,32 @@ def test_slab_bend_leaves_sum_to_the_kick(number):
     assert bends > 0
 
 
+@pytest.mark.parametrize("number", [-1, 0, 1])
+def test_decorated_slab_crossing_builds_the_slab_product_once(
+        number, monkeypatch):
+    """Every line from a point of chart (0,2) crosses the slab once, so a
+    decorated enumeration crosses the same facets as a plain one, and it
+    reads its bends' log terms from the slab product it built there: both
+    build the product equally often."""
+    built = []
+    slab_function = broken._slab_function
+
+    def counting_slab_function(*args):
+        built.append(args)
+        return slab_function(*args)
+
+    monkeypatch.setattr(broken, "_slab_function", counting_slab_function)
+    counts = []
+    for decorated in (False, True):
+        built.clear()
+        s = two_cell(number, [((0, 1), (1,), (1, 0))])
+        for a, b in [(0, 2), (1, 2), (3, 1)]:
+            p = PointInChart((0, 1), (a, b), ambient=True)
+            assert enumerate_lines(s, p, X_OTHER_CHART, decorated=decorated)
+        counts.append(len(built))
+    assert counts[0] > 0 and counts[1] == counts[0]
+
+
 # -- toric cycles ------------------------------------------------------------
 
 # self-intersections D_i^2 of the boundary cycle of a toric surface
@@ -434,6 +460,24 @@ def ray_exponent(cx, i):
     """The primitive vector of the ray of D_i, in a chart containing it."""
     chart = next(c for c in cx.maximal_cones if i in c)
     return PointInChart(chart, tuple(int(d == i) for d in chart))
+
+
+@pytest.mark.parametrize("name", ["quadrant", "dP6"])
+def test_chambers_containing_agrees_with_cone_coords(name):
+    """Chamber membership by two determinants agrees with the rational
+    cone solver on seeded integer vectors, boundary rays included."""
+    if name == "quadrant":
+        s = quadrant(bound=3)
+    else:
+        s = toric_cycle(TORIC_CYCLES["dP6"])
+    rng = random.Random(2105)
+    rs = [(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(400)]
+    rs += [(0, 0), (1, 0), (0, 1), (1, 1), (2, 2), (-1, -1)]
+    for cone in s.complex.maximal_cones:
+        for r in rs:
+            want = [ch for ch in s.chambers if ch.cone == cone and
+                    linalg.cone_coords((ch.lower, ch.upper), r) is not None]
+            assert chambers_containing(s, cone, r) == want
 
 
 @pytest.mark.parametrize("name", sorted(TORIC_CYCLES))
@@ -548,6 +592,28 @@ def test_alpha_traces_each_line_family_once(monkeypatch):
         want = {(1, 1): [{"A": [0], "m": [0, 0], "c": "1/1"}],
                 (0, 0): [{"A": [1], "m": [0, 0], "c": "1/1"}]}.get(r, [])
         assert res.value.to_json() == want
+
+
+def test_genericity_hyperplanes_are_kept_per_structure(monkeypatch):
+    """A second identical batch of structure constants draws no primitive
+    vector: the hyperplanes a generic point avoids are kept with the
+    lines."""
+    drawn = []
+    primitive = broken.primitive
+
+    def counting_primitive(v):
+        drawn.append(v)
+        return primitive(v)
+
+    monkeypatch.setattr(broken, "primitive", counting_primitive)
+    s = quadrant(bound=3)
+    batch = [((1, 0), (0, 1), (1, 1)), ((1, 0), (1, 0), (2, 0)),
+             ((0, 1), (1, 0), (1, 1)), ((2, 0), (0, 1), (1, 0))]
+    first = [alpha_trop(s, *args).value for args in batch]
+    assert drawn
+    drawn.clear()
+    assert [alpha_trop(s, *args).value for args in batch] == first
+    assert drawn == []
 
 
 def test_with_walls_copy_traces_its_own_lines():

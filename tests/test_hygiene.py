@@ -1,12 +1,17 @@
 """Source hygiene: no module of the package imports a name it never uses,
-no function imports from the package at call time, and no top-level
-function or class of the package goes unnamed outside its definition."""
+no function imports from the package at call time, no top-level function
+or class of the package goes unnamed outside its definition, and no method
+or property of a package class is never taken as an attribute."""
 
 from __future__ import annotations
 
+import argparse
 import ast
+import importlib
+import inspect
 import os
 from collections import Counter
+from functools import cached_property
 
 import pytest
 
@@ -136,3 +141,77 @@ def test_no_orphaned_helpers():
         with open(path) as fh:
             sources.append(fh.read())
     assert orphans(definitions, sources) == []
+
+
+def orphaned_members(classes: dict[str, type], sources: list[str]
+                     ) -> list[str]:
+    """Methods and properties of ``classes`` (qualified name -> class) that
+    no source takes as an attribute.  Dunders and overrides of a base class
+    from outside the class's package are called by that base's code, and
+    are exempt."""
+    taken = {node.attr for source in sources
+             for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Attribute)}
+    out = []
+    for qualname, cls in classes.items():
+        package = cls.__module__.split(".")[0]
+        outside = [base for base in cls.__mro__[1:]
+                   if base.__module__.split(".")[0] != package]
+        for name, member in vars(cls).items():
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if not (inspect.isfunction(member) or isinstance(
+                    member, (property, cached_property, classmethod,
+                             staticmethod))):
+                continue
+            if name not in taken and not any(name in vars(base)
+                                              for base in outside):
+                out.append(f"{qualname}.{name}")
+    return sorted(out)
+
+
+class _Used:
+    def read(self):
+        return 1
+
+    @property
+    def shown(self):
+        return 2
+
+    @property
+    def hidden(self):
+        return 3
+
+    def __repr__(self):
+        return "_Used()"
+
+
+class _Quiet(argparse.ArgumentParser, _Used):
+    def error(self, message):
+        return message
+
+    def unused(self):
+        return None
+
+
+def test_detector_flags_an_orphaned_member():
+    classes = {"mod._Used": _Used, "mod._Quiet": _Quiet}
+    caller = "x.shown\n"
+    assert orphaned_members(classes, [caller]) == \
+        ["mod._Quiet.unused", "mod._Used.hidden", "mod._Used.read"]
+    assert orphaned_members(classes, [caller, "y.read()\nz.unused\n"]) == \
+        ["mod._Used.hidden"]
+
+
+def test_no_orphaned_members():
+    classes = {}
+    for module in MODULES:
+        mod = importlib.import_module("wallcross." + module[:-3])
+        for name, obj in vars(mod).items():
+            if inspect.isclass(obj) and obj.__module__ == mod.__name__:
+                classes[f"{module[:-3]}.{name}"] = obj
+    sources = []
+    for path in _python_files():
+        with open(path) as fh:
+            sources.append(fh.read())
+    assert orphaned_members(classes, sources) == []

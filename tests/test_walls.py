@@ -213,9 +213,7 @@ def test_refine_merges_coincident_supports():
 
 
 def test_planar_chambers_of_quadrant():
-    rs = planar_chambers(quadrant_wall())
-    assert len(rs.chambers) == 2
-    assert rs.joints == (((0, 1), (1, 1)),)
+    assert len(planar_chambers(quadrant_wall())) == 2
 
 
 # -- crossing ----------------------------------------------------------------

@@ -10,8 +10,8 @@ types into product types.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
+from math import gcd
 from typing import Sequence
 
 from . import linalg
@@ -69,6 +69,9 @@ class TropicalType:
     def __post_init__(self):
         nv = len(self.vertices)
         for e in self.edges:
+            if len(e.v) != 2:
+                raise ValueError(f"edge {list(e.v)} does not join two "
+                                 "vertices")
             if not (0 <= e.v[0] < nv and 0 <= e.v[1] < nv):
                 raise TropicalError("edge endpoint out of range")
         for l in self.legs:
@@ -122,7 +125,8 @@ class TropicalType:
     @classmethod
     def from_json(cls, data) -> "TropicalType":
         """A type read from JSON; a non-integral index or entry is a
-        ``ValueError``.  Vector lengths are checked by ``check_lengths``."""
+        ``ValueError``, and so is an edge that does not join two vertices.
+        Vector lengths are checked by ``check_lengths``."""
         return cls(
             vertices=tuple(
                 Vertex(cone=integer_vector(v["cone"]),
@@ -139,12 +143,8 @@ class TropicalType:
         )
 
     def check_lengths(self, n: int, curve_rank: int) -> None:
-        """Raise ``ValueError`` unless every edge joins two vertices, every
-        contact order and ray has length n and every class curve_rank."""
-        for e in self.edges:
-            if len(e.v) != 2:
-                raise ValueError(f"edge {list(e.v)} does not join two "
-                                 "vertices")
+        """Raise ``ValueError`` unless every contact order and ray has
+        length n and every class curve_rank."""
         vectors = [e.u for e in self.edges] + [l.u for l in self.legs] + \
             [r for v in self.vertices for r in v.rays or ()]
         for u in vectors:
@@ -204,9 +204,12 @@ def balancing_check(t: TropicalType, cx: ConeComplex):
 def _fm_feasible(rows) -> bool:
     """Feasibility of constraints sum(c*t)+const >= 0 (or > 0 if strict).
 
-    Each row is (coeffs tuple of Fractions, const Fraction, strict bool).
+    Each row is (integer coeffs, integer const, strict bool).  Eliminating
+    a variable combines a positive and a negative row with positive
+    integer factors; each combined row is divided by the gcd of its
+    entries and constant, which keeps its sign and its strictness.
     """
-    rows = [(list(c), Fraction(k), s) for c, k, s in rows]
+    rows = [(list(c), k, s) for c, k, s in rows]
     nvar = len(rows[0][0]) if rows else 0
     for var in range(nvar):
         pos, neg, rest = [], [], []
@@ -220,17 +223,20 @@ def _fm_feasible(rows) -> bool:
         new = rest
         for cp, kp, sp in pos:
             for cn, kn, sn in neg:
-                # eliminate: cp[var]*(-cn) + cn[var]*... combine scaled rows
                 a, b = cp[var], -cn[var]
                 c = [b * x + a * y for x, y in zip(cp, cn)]
-                c[var] = Fraction(0)
-                new.append((c, b * kp + a * kn, sp or sn))
+                k = b * kp + a * kn
+                g = gcd(*c, k)
+                if g > 1:
+                    c = [x // g for x in c]
+                    k //= g
+                new.append((c, k, sp or sn))
         rows = new
     return all((k > 0 if s else k >= 0) for _c, k, s in rows)
 
 
 def _substitute(row, basis):
-    """Rewrite a constraint over x as a constraint over nullspace coords."""
+    """Rewrite a constraint over x as a constraint over kernel coords."""
     coeffs, const, strict = row
     nonzero = [(j, c) for j, c in enumerate(coeffs) if c]
     return [sum(c * b[j] for j, c in nonzero) for b in basis], const, strict
@@ -240,6 +246,16 @@ def _substitute(row, basis):
 
 @dataclass(frozen=True)
 class UniversalCone:
+    """The moduli cone of a type, solved in one chart.
+
+    ``lattice`` is a basis of the saturated integer kernel of the
+    equalities, taken from one Smith form.  It is the only kernel of the
+    cone: ``dim_type`` is its length, ``dim_out`` the rank of its image
+    under the out-leg evaluation, the inequalities are tested for
+    feasibility in its coordinates, and ``_leg_lattice`` extends it by
+    free leg parameters.
+    """
+
     chart: ConeId
     nvars: int                       # vertex-position coords then edge lengths
     vertex_offset: tuple[int, ...]
@@ -248,7 +264,7 @@ class UniversalCone:
     inequalities: tuple[tuple[tuple[int, ...], bool], ...]  # (row, strict)
     dim_type: int
     dim_out: int
-    basis: tuple[tuple[Fraction, ...], ...] = field(repr=False, default=())
+    lattice: tuple[tuple[int, ...], ...]
 
 
 def _build_system(t: TropicalType, cx: ConeComplex):
@@ -309,22 +325,16 @@ def universal_cone(t: TropicalType, cx: ConeComplex) -> UniversalCone:
     """Solve the tropical-map constraints of a type exactly."""
     chart, nvars, voff, eoff, eqs, ineqs = _build_system(t, cx)
     n = cx.n
-    if eqs:
-        basis = linalg.nullspace([[Fraction(c) for c in row] for row in eqs],
-                                 cols=nvars)
-    else:
-        basis = [tuple(Fraction(1) if j == i else Fraction(0)
-                       for j in range(nvars)) for i in range(nvars)]
-    rows = [_substitute((row, 0, strict), basis) for row, strict in ineqs]
+    lattice = kernel_basis(IntegerMatrix.from_rows(eqs or [[0] * nvars]))
+    rows = [_substitute((row, 0, strict), lattice) for row, strict in ineqs]
     if not _fm_feasible(rows):
         raise Unrealizable("the constraint system has no honest solution")
-    dim_type = len(basis)
     # dim of the image swept by the out-leg (or the first leg)
     out = t.leg_with_role("out") or ((0, t.legs[0]) if t.legs else None)
     if out is not None:
         _i, leg = out
-        proj = [[b[voff[leg.v] + j] for j in range(n)] for b in basis]
-        proj.append([Fraction(x) for x in leg.u])
+        proj = [[b[voff[leg.v] + j] for j in range(n)] for b in lattice]
+        proj.append(list(leg.u))
         dim_out = linalg.rank(proj)
     else:
         dim_out = 0
@@ -332,8 +342,8 @@ def universal_cone(t: TropicalType, cx: ConeComplex) -> UniversalCone:
                          edge_offset=eoff,
                          equalities=tuple(tuple(r) for r in eqs),
                          inequalities=tuple((tuple(r), s) for r, s in ineqs),
-                         dim_type=dim_type, dim_out=dim_out,
-                         basis=tuple(tuple(b) for b in basis))
+                         dim_type=len(lattice), dim_out=dim_out,
+                         lattice=tuple(lattice))
 
 
 # -- classification ----------------------------------------------------------
@@ -367,12 +377,14 @@ def _k_tau(t: TropicalType, cx: ConeComplex, uc: UniversalCone) -> int:
 
 def _leg_lattice(uc: UniversalCone, k: int):
     """Integral basis of the solutions of the type's equalities, with k
-    free leg parameters appended after the universal-cone variables."""
-    nvars = uc.nvars + k
-    rows = [list(r) + [0] * k for r in uc.equalities]
-    if not rows:
-        rows = [[0] * nvars]
-    return kernel_basis(IntegerMatrix.from_rows(rows))
+    free leg parameters appended after the universal-cone variables.
+
+    The cone's kernel padded by k zeros, then the k unit vectors: the
+    Smith form of the equalities padded by k zero columns never touches
+    those columns, so this is the kernel basis of the padded system.
+    """
+    return [b + (0,) * k for b in uc.lattice] + \
+        [(0,) * (uc.nvars + i) + (1,) + (0,) * (k - 1 - i) for i in range(k)]
 
 
 def _leg_point(uc: UniversalCone, vec, leg: Leg, pos: int, n: int):

@@ -437,7 +437,7 @@ class Chamber:
     """Maximal cell of the refined decomposition of a planar complex.
 
     Bounded by two rays (primitive, in the chart of ``cone``), with
-    ``lower`` preceding ``upper`` counterclockwise.
+    ``lower`` preceding ``upper`` clockwise: det(lower, upper) < 0.
     """
 
     cone: ConeId

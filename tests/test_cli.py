@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wallcross.cli import main
 from wallcross.consistency import LocalInstance
@@ -321,10 +325,12 @@ def test_tropical_classify(bundle, tmp_path, capsys):
     (("vertices", 1, "A"), [1, 0]),
     (("vertices", 1, "A"), [0.5]),
     (("vertices", 0, "cone"), [0, 1.5]),
+    (("edges", 0, "v"), [0]),
+    (("edges", 0, "v"), {}),
 ], ids=["long-contact-order", "non-integral-contact-order",
         "non-integral-leg-vertex", "short-edge-contact-order",
         "edge-not-a-pair", "long-ray", "long-class", "non-integral-class",
-        "non-integral-cone"])
+        "non-integral-cone", "edge-one-end", "edge-no-ends"])
 def test_malformed_type_is_usage_error(bundle, tmp_path, capsys, path,
                                        value):
     data = bent_line_type().to_json()
@@ -382,6 +388,11 @@ def _set_leg(data, u):
     data["pieces"][0]["type"]["legs"][0]["u"] = u
 
 
+def _set_edge_ends(data, v):
+    # the last piece carries the bend chain, the only piece with edges
+    data["pieces"][-1]["type"]["edges"][0]["v"] = v
+
+
 @pytest.mark.parametrize("edit", [
     lambda d: _set_lattice(d, [[0.5, 0], [0, 1]]),
     lambda d: _set_lattice(d, [[1], [0, 1]]),
@@ -395,11 +406,14 @@ def _set_leg(data, u):
     lambda d: _set_gluing_legs(d, [4]),
     lambda d: _set_leg(d, [3, -2, 1]),
     lambda d: _set_leg(d, [3.5, -2]),
+    lambda d: _set_edge_ends(d, [0]),
+    lambda d: _set_edge_ends(d, {}),
 ], ids=["non-integral-lattice", "short-lattice-vector",
         "long-lattice-vector", "missing-piece", "negative-piece",
         "leg-not-glued", "non-integral-end", "end-not-a-pair",
         "non-integral-gluing-leg", "missing-gluing-leg",
-        "long-contact-order", "non-integral-contact-order"])
+        "long-contact-order", "non-integral-contact-order",
+        "edge-one-end", "edge-no-ends"])
 def test_malformed_multiplicity_input_is_usage_error(bundle, capsys, edit):
     # the bend (3, -2) against walls of multiplicity 2 and 1 has
     # multiplicity 5 when well formed
@@ -408,6 +422,84 @@ def test_malformed_multiplicity_input_is_usage_error(bundle, capsys, edit):
     code, out, err = _multiplicity(bundle, capsys, data)
     assert code == 2 and out == ""
     assert json.loads(err)["schema"] == "wallcross/1"
+
+
+# JSON values a mutation puts in place of a node of a well-formed input
+_JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.floats(-3, 3),
+    st.text(max_size=2), st.lists(st.integers(-3, 3), max_size=4),
+    st.just({}))
+
+
+def _json_paths(node, path=()):
+    """The path of every node of a JSON value, the root's first."""
+    yield path
+    children = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _json_paths(child, path + (key,))
+
+
+@st.composite
+def _mutated(draw, data):
+    """A copy of the JSON value ``data`` with one to three of its nodes,
+    each drawn from all of them, replaced or deleted."""
+    data = json.loads(json.dumps(data))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_json_paths(data))))
+        if not path:
+            data = draw(_JSON_LEAVES)
+            continue
+        *keys, last = path
+        parent = data
+        for key in keys:
+            parent = parent[key]
+        if draw(st.booleans()):
+            parent[last] = draw(_JSON_LEAVES)
+        else:
+            del parent[last]
+    return data
+
+
+@pytest.fixture(scope="module")
+def geometry_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("geometry") / "geometry.json"
+    path.write_text(json.dumps(geometry_to_json(quadrant().complex)))
+    return path
+
+
+def _run_tropical(geometry_path, command, flag, data):
+    """Exit code, stdout and stderr of one tropical command on ``data``."""
+    path = geometry_path.with_name(f"{command}.json")
+    path.write_text(json.dumps(data))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["tropical", command, "-g", str(geometry_path), flag,
+                     str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_documented_exit(code, out, err):
+    assert code in (0, 1, 2)
+    if code:
+        assert out == ""
+        assert json.loads(err)["schema"] == "wallcross/1"
+    else:
+        assert json.loads(out)["schema"] == "wallcross/1"
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=_mutated(bent_line_type().to_json()))
+def test_mutated_type_exits_with_a_diagnostic(geometry_path, data):
+    _assert_documented_exit(*_run_tropical(geometry_path, "classify",
+                                           "--type", data))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=_mutated(_pieces_json((3, -2), (2, 1))))
+def test_mutated_pieces_exit_with_a_diagnostic(geometry_path, data):
+    _assert_documented_exit(*_run_tropical(geometry_path, "multiplicity",
+                                           "--pieces", data))
 
 
 # -- rendering ----------------------------------------------------------------

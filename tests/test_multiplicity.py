@@ -20,11 +20,13 @@ from __future__ import annotations
 import math
 import time
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+from wallcross import linalg
 from wallcross.geometry import DivisorTable, build_complex
-from wallcross.lattice import IntegerMatrix, cokernel_order
+from wallcross.lattice import IntegerMatrix, cokernel_order, kernel_basis
 from wallcross.tropical import (
     Edge,
     GluingEdge,
@@ -32,8 +34,12 @@ from wallcross.tropical import (
     SplitPiece,
     TropicalType,
     Vertex,
+    _leg_lattice,
     splitting_multiplicity,
+    universal_cone,
 )
+
+from tests.test_lattice import _minor_det
 
 CONE = (0, 1)
 STD = ((1, 0), (0, 1))
@@ -252,3 +258,43 @@ def test_multiplicity_computes_each_quantity_once(cx, monkeypatch):
     assert rank_calls == []
     assert len(eliminations) == len(glue) == 3
 
+
+def _all_configurations():
+    return [(codim, u_inc, ks, pinned)
+            for codim, table in ((0, CODIM0), (1, CODIM1))
+            for u_inc, ks, pinned, _frozen in table]
+
+
+@pytest.mark.parametrize("codim,u_inc,ks,pinned", _all_configurations())
+def test_leg_lattice_is_the_padded_kernel(cx, codim, u_inc, ks, pinned):
+    """Padding the cone's kernel gives the Smith-form kernel of the padded
+    equalities, vector for vector."""
+    pieces, _glue = bend_configuration(u_inc, ks, codim, pinned)
+    for piece in pieces:
+        uc = universal_cone(piece.type, cx)
+        for k in range(len(piece.gluing_legs) + 2):
+            rows = [list(r) + [0] * k for r in uc.equalities] or \
+                [[0] * (uc.nvars + k)]
+            assert _leg_lattice(uc, k) == \
+                kernel_basis(IntegerMatrix.from_rows(rows))
+
+
+@pytest.mark.parametrize("codim,u_inc,ks,pinned", _all_configurations())
+def test_cone_lattice_is_a_saturated_kernel(cx, codim, u_inc, ks, pinned):
+    """Every kernel vector solves the equalities, there are as many as the
+    rational kernel's dimension, and the gcd of the maximal minors is 1."""
+    pieces, _glue = bend_configuration(u_inc, ks, codim, pinned)
+    for piece in pieces:
+        uc = universal_cone(piece.type, cx)
+        for b in uc.lattice:
+            assert all(sum(c * x for c, x in zip(row, b)) == 0
+                       for row in uc.equalities)
+        assert uc.dim_type == len(uc.lattice) == \
+            uc.nvars - linalg.rank(uc.equalities)
+        if not uc.lattice:
+            continue
+        g = 0
+        for cols in combinations(range(uc.nvars), len(uc.lattice)):
+            g = math.gcd(g, _minor_det(uc.lattice, range(len(uc.lattice)),
+                                       cols))
+        assert g == 1

@@ -23,6 +23,7 @@ from wallcross.tropical import (
     SplitPiece,
     TropicalType,
     Vertex,
+    _fm_feasible,
     balancing_check,
     classify,
     contact_multiplicity,
@@ -162,6 +163,20 @@ def test_edge_pointing_out_of_the_chart_unrealizable():
         universal_cone(t, cx)
 
 
+@pytest.mark.parametrize("rows, feasible", [
+    ([((1,), 0, True), ((-1,), 0, False)], False),       # x > 0, -x >= 0
+    ([((1,), 0, False), ((-1,), 0, False)], True),       # x >= 0, -x >= 0
+    # 2x + 4y > 0, -2x >= 0, -4y + 6 >= 0: x = 0, y = 1
+    ([((2, 4), 0, True), ((-2, 0), 0, False), ((0, -4), 6, False)], True),
+    # 2x + 4y > 6 with x <= 0 needs y > 3/2: the reduced row 2y - 3 > 0
+    # meets -4y + 6 >= 0 in 0 > 0
+    ([((2, 4), -6, True), ((-2, 0), 0, False), ((0, -4), 6, False)], False),
+], ids=["strict-against-opposite", "closed-against-opposite",
+        "reduced-feasible", "reduced-infeasible"])
+def test_integer_fourier_motzkin(rows, feasible):
+    assert _fm_feasible(rows) is feasible
+
+
 # -- classification -----------------------------------------------------------
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -189,6 +204,30 @@ def test_bent_broken_line_classified():
     assert (cls.dim_type, cls.dim_out) == (1, 2)
     assert cls.k_tau == 1
     assert cls.spine_vertices == (0,)
+
+
+def test_classify_takes_one_kernel(monkeypatch):
+    """The universal cone's integer kernel is the only kernel: no rational
+    nullspace, one Smith form for it and one for the out-leg cokernel."""
+    from wallcross import lattice, linalg, tropical
+
+    smith_inputs, nullspaces = [], []
+
+    def counted(log, fn):
+        def wrapper(*args, **kwargs):
+            log.append(args)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for mod in (lattice, tropical):
+        monkeypatch.setattr(mod, "smith_normal_form",
+                            counted(smith_inputs, mod.smith_normal_form))
+    monkeypatch.setattr(linalg, "nullspace",
+                        counted(nullspaces, linalg.nullspace))
+    cls = classify(bent_line_type(), quadrant_complex())
+    assert cls.kind == "broken-line"
+    assert nullspaces == []
+    assert len(smith_inputs) == 2
 
 
 def test_degenerate_line():

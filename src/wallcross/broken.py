@@ -63,7 +63,7 @@ class Bend:
     pairing: int
     delta_class: tuple[int, ...]
     delta_exponent: tuple[int, ...]
-    coeff: Fraction
+    coeff: int | Fraction
     mu: tuple | None = None
     on_slab: bool = False
     kink_class: tuple[int, ...] | None = None

@@ -123,9 +123,8 @@ def _validate_ray(ray: LocalRay, n_exp: int):
         if mt == (0, 0):
             raise InadmissibleWallDirection(
                 f"exponent {m} has no transverse part")
-        q = next(Fraction(mt[i], d[i]) for i in (0, 1) if d[i])
-        if q == 0 or q.denominator != 1 or \
-                mt != tuple(int(q) * x for x in d):
+        q, r = divmod(mt[0], d[0]) if d[0] else divmod(mt[1], d[1])
+        if q == 0 or r or mt != (q * d[0], q * d[1]):
             raise InadmissibleWallDirection(
                 f"exponent {m} is not parallel to {d}")
 
@@ -661,7 +660,7 @@ def complete_codim0(inst: LocalInstance,
                     f"no ray along {direction} can absorb t^{list(A)} "
                     f"z^{list(m)}")
             factors.append((direction, exp_truncated(RingElement.monomial(
-                A, m, -eps0 / denom, LOCAL_CHART, trunc))))
+                A, m, Fraction(-eps0) / denom, LOCAL_CHART, trunc))))
         if len(emit) < len(keys):
             A, m = keys[len(emit)]
             raise NonConvergent(

@@ -8,6 +8,7 @@ augmentation ideal nilpotent and all exponential / inverse series finite.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -25,6 +26,7 @@ from .linalg import mat_vec
 CurveClass = tuple[int, ...]
 Exponent = tuple[int, ...]
 TermKey = tuple[CurveClass, Exponent]
+Coefficient = int | Fraction
 
 
 @dataclass(frozen=True)
@@ -107,20 +109,22 @@ class RingElement:
 
     Immutable by convention: all operations return fresh elements.  Terms
     with curve class inside the truncation ideal are dropped on construction,
-    zero coefficients are never stored.
+    zero coefficients are never stored, and every stored coefficient is an
+    ``int`` (never a ``bool``) or a ``Fraction`` whose denominator is greater
+    than 1, so integral arithmetic never builds a ``Fraction``.
     """
 
-    __slots__ = ("terms", "cone", "trunc", "n", "_powers")
+    __slots__ = ("terms", "cone", "trunc", "n", "_powers", "_weight_order")
 
-    def __init__(self, terms: Mapping[TermKey, Fraction], cone,
+    def __init__(self, terms: Mapping[TermKey, Coefficient], cone,
                  trunc: Truncation, n: int):
-        clean: dict[TermKey, Fraction] = {}
+        clean: dict[TermKey, Coefficient] = {}
         for (A, m), c in terms.items():
             A = tuple(int(x) for x in A)
             m = tuple(int(x) for x in m)
             if len(m) != n:
                 raise ValueError("exponent length != chart dimension")
-            c = Fraction(c)
+            c = _coeff(c)
             if c == 0 or trunc.in_ideal(A):
                 continue
             clean[(A, m)] = c
@@ -129,23 +133,43 @@ class RingElement:
         self.trunc = trunc
         self.n = n
         self._powers: dict[int, RingElement] | None = None
+        self._weight_order: list | None = None
+
+    @classmethod
+    def _make(cls, terms: dict[TermKey, Coefficient], cone, trunc: Truncation,
+              n: int) -> "RingElement":
+        """An element from computed terms, without re-checking their keys.
+
+        Every key must already be a pair of int tuples of the right lengths
+        with its class outside the ideal, and every coefficient an int or a
+        Fraction; zeros are dropped and coefficients put in stored form.
+        """
+        e = object.__new__(cls)
+        e.terms = {k: c if type(c) is int or c.denominator != 1
+                   else c.numerator for k, c in terms.items() if c}
+        e.cone = cone
+        e.trunc = trunc
+        e.n = n
+        e._powers = None
+        e._weight_order = None
+        return e
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def zero(cls, cone, trunc: Truncation, n: int) -> "RingElement":
-        return cls({}, cone, trunc, n)
+        return cls._make({}, cone, trunc, n)
 
     @classmethod
     def one(cls, cone, trunc: Truncation, n: int) -> "RingElement":
+        # a valid truncation never contains the zero class
         key = ((0,) * trunc.curve_rank, (0,) * n)
-        return cls({key: Fraction(1)}, cone, trunc, n)
+        return cls._make({key: 1}, cone, trunc, n)
 
     @classmethod
     def monomial(cls, A: Sequence[int], m: Sequence[int], coeff, cone,
                  trunc: Truncation) -> "RingElement":
-        return cls({(tuple(A), tuple(m)): Fraction(coeff)}, cone, trunc,
-                   len(tuple(m)))
+        return cls({(tuple(A), tuple(m)): coeff}, cone, trunc, len(tuple(m)))
 
     # -- basic protocol -----------------------------------------------------
 
@@ -175,17 +199,26 @@ class RingElement:
 
     def is_one(self) -> bool:
         key = ((0,) * self.trunc.curve_rank, (0,) * self.n)
-        return self.terms == {key: Fraction(1)}
+        return self.terms == {key: 1}
 
-    def constant_coefficient(self) -> Fraction:
+    def constant_coefficient(self) -> Coefficient:
         key = ((0,) * self.trunc.curve_rank, (0,) * self.n)
-        return self.terms.get(key, Fraction(0))
+        return self.terms.get(key, 0)
 
-    def coefficient(self, A: Sequence[int], m: Sequence[int]) -> Fraction:
-        return self.terms.get((tuple(A), tuple(m)), Fraction(0))
+    def coefficient(self, A: Sequence[int], m: Sequence[int]) -> Coefficient:
+        return self.terms.get((tuple(A), tuple(m)), 0)
 
-    def _like(self, terms) -> "RingElement":
-        return RingElement(terms, self.cone, self.trunc, self.n)
+    def _by_weight(self) -> list:
+        """The terms as (weight, A, m, c), lightest first, for a degree
+        truncation; built once and kept on the (immutable) element."""
+        order = self._weight_order
+        if order is None:
+            weights = self.trunc.weights
+            order = sorted(((sum(map(operator.mul, weights, A)), A, m, c)
+                            for (A, m), c in self.terms.items()),
+                           key=operator.itemgetter(0))
+            self._weight_order = order
+        return order
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -193,28 +226,20 @@ class RingElement:
         self._check_compatible(other)
         terms = dict(self.terms)
         for k, c in other.terms.items():
-            terms[k] = terms.get(k, Fraction(0)) + c
-        return self._like(terms)
+            terms[k] = terms.get(k, 0) + c
+        return RingElement._make(terms, self.cone, self.trunc, self.n)
 
     def sub(self, other: "RingElement") -> "RingElement":
         return self.add(other.scale(-1))
 
     def scale(self, c) -> "RingElement":
-        c = Fraction(c)
-        return self._like({k: v * c for k, v in self.terms.items()})
+        c = _coeff(c)
+        return RingElement._make({k: v * c for k, v in self.terms.items()},
+                                 self.cone, self.trunc, self.n)
 
     def mul(self, other: "RingElement") -> "RingElement":
         self._check_compatible(other)
-        terms: dict[TermKey, Fraction] = {}
-        for (A1, m1), c1 in self.terms.items():
-            for (A2, m2), c2 in other.terms.items():
-                A = tuple(a + b for a, b in zip(A1, A2))
-                if self.trunc.in_ideal(A):
-                    continue
-                m = tuple(a + b for a, b in zip(m1, m2))
-                key = (A, m)
-                terms[key] = terms.get(key, Fraction(0)) + c1 * c2
-        return self._like(terms)
+        return _product_by_exponent(self, lambda _m: other)
 
     def pow_nonneg(self, k: int) -> "RingElement":
         result = RingElement.one(self.cone, self.trunc, self.n)
@@ -252,6 +277,7 @@ class RingElement:
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> list[dict]:
+        # an int has numerator and denominator too
         return [{"A": list(A), "m": list(m),
                  "c": f"{c.numerator}/{c.denominator}"}
                 for (A, m), c in self.sorted_terms()]
@@ -262,14 +288,17 @@ class RingElement:
         terms: dict[TermKey, Fraction] = {}
         for item in data:
             key = (integer_vector(item["A"]), integer_vector(item["m"]))
-            terms[key] = terms.get(key, Fraction(0)) + Fraction(item["c"])
+            terms[key] = terms.get(key, 0) + Fraction(item["c"])
         return cls(terms, cone, trunc, n)
 
 
 # -- module-level operations -------------------------------------------------
 
 def integer(x) -> int:
-    """An integer read from JSON; a non-integral number is an error."""
+    """An integer read from JSON: an int or an integral float.  A bool, a
+    string or any other value is an error, as is a non-integral number."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ValueError(f"non-integer entry {x!r}")
     if isinstance(x, float) and not x.is_integer():
         raise ValueError(f"non-integral entry {x!r}")
     return int(x)
@@ -280,12 +309,54 @@ def integer_vector(xs: Iterable) -> tuple[int, ...]:
     return tuple(integer(x) for x in xs)
 
 
+def _coeff(c) -> Coefficient:
+    """``c`` in stored form: an int, or a Fraction with denominator > 1."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 def multiply(f: RingElement, g: RingElement) -> RingElement:
     return f.mul(g)
 
 
+def _product_by_exponent(f: RingElement,
+                        factor: Callable[[Exponent], RingElement]
+                        ) -> RingElement:
+    """The sum of c·t^A z^m·factor(m) over the terms of f, truncated.
+
+    Under a degree truncation each factor's terms are walked lightest
+    first, and the walk stops at the first class that would land in the
+    ideal, so no dropped pair is ever formed; a generator truncation tests
+    each product class.
+    """
+    trunc = f.trunc
+    terms: dict[TermKey, Coefficient] = {}
+    get = terms.get
+    if trunc.weights is not None:
+        weights, bound = trunc.weights, trunc.bound
+        for (A1, m1), c1 in f.terms.items():
+            room = bound - sum(map(operator.mul, weights, A1))
+            for w2, A2, m2, c2 in factor(m1)._by_weight():
+                if w2 > room:
+                    break
+                key = (tuple(map(operator.add, A1, A2)),
+                       tuple(map(operator.add, m1, m2)))
+                terms[key] = get(key, 0) + c1 * c2
+    else:
+        in_ideal = trunc.in_ideal
+        for (A1, m1), c1 in f.terms.items():
+            for (A2, m2), c2 in factor(m1).terms.items():
+                A = tuple(map(operator.add, A1, A2))
+                if not in_ideal(A):
+                    key = (A, tuple(map(operator.add, m1, m2)))
+                    terms[key] = get(key, 0) + c1 * c2
+    return RingElement._make(terms, f.cone, trunc, f.n)
+
+
 def _series(start: RingElement, g: RingElement,
-            coeff: Callable[[int], Fraction]) -> RingElement:
+            coeff: Callable[[int], Coefficient]) -> RingElement:
     """start + sum over k >= 1 of coeff(k)·g^k, finite for nilpotent g."""
     result = start
     power = g
@@ -324,7 +395,7 @@ def invert(f: RingElement) -> RingElement:
     """Inverse of f = 1 + g with g supported in the augmentation ideal."""
     g = _unipotent_part(f, "inversion")
     return _series(RingElement.one(f.cone, f.trunc, f.n), g,
-                   lambda k: Fraction((-1) ** k))
+                   lambda k: (-1) ** k)
 
 
 def log_unipotent(f: RingElement) -> RingElement:
@@ -345,7 +416,7 @@ def transport(f: RingElement, matrix: Sequence[Sequence[int]],
     pairing must be nonnegative; ``group_level`` lifts that restriction.
     Ring homomorphism in either mode.
     """
-    terms: dict[TermKey, Fraction] = {}
+    terms: dict[TermKey, Coefficient] = {}
     for (A, m), c in f.terms.items():
         pair = sum(a * b for a, b in zip(normal, m))
         if pair < 0 and not group_level:
@@ -355,7 +426,7 @@ def transport(f: RingElement, matrix: Sequence[Sequence[int]],
         if f.trunc.in_ideal(newA):
             continue
         key = (newA, mat_vec(matrix, m))
-        terms[key] = terms.get(key, Fraction(0)) + c
+        terms[key] = terms.get(key, 0) + c
     return RingElement(terms, target_cone, f.trunc, f.n)
 
 

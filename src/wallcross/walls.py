@@ -11,6 +11,7 @@ function times the kink class.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -30,7 +31,7 @@ from .errors import (
 )
 from .geometry import ConeComplex, ConeId, GenericPointSampler, PointInChart
 from .lattice import IntegerMatrix, kernel_basis
-from .ring import RingElement, Truncation
+from .ring import RingElement, Truncation, _product_by_exponent
 
 
 def primitive(v: Sequence[int]) -> tuple[int, ...]:
@@ -496,17 +497,8 @@ def apply_theta(f_wall: RingElement, normal: Sequence[int],
     """The crossing automorphism z^m -> f_wall^<normal, m> z^m applied to f."""
     if f.terms:
         f_wall._check_compatible(f)
-    in_ideal = f.trunc.in_ideal
-    terms: dict = {}
-    for (A, m), c in f.terms.items():
-        factor = f_wall.pow_int(sum(a * b for a, b in zip(normal, m)))
-        for (A2, m2), c2 in factor.terms.items():
-            A3 = tuple(a + b for a, b in zip(A, A2))
-            if in_ideal(A3):
-                continue
-            key = (A3, tuple(a + b for a, b in zip(m, m2)))
-            terms[key] = terms.get(key, 0) + c * c2
-    return RingElement(terms, f.cone, f.trunc, f.n)
+    return _product_by_exponent(
+        f, lambda m: f_wall.pow_int(sum(map(operator.mul, normal, m))))
 
 
 def cross_wall(f: RingElement, wall: Wall, source_side: Sequence[int]

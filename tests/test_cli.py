@@ -327,10 +327,13 @@ def test_tropical_classify(bundle, tmp_path, capsys):
     (("vertices", 0, "cone"), [0, 1.5]),
     (("edges", 0, "v"), [0]),
     (("edges", 0, "v"), {}),
+    (("legs", 0, "u"), ["1", True]),
+    (("legs", 0, "u"), [" 1", "1 "]),
 ], ids=["long-contact-order", "non-integral-contact-order",
         "non-integral-leg-vertex", "short-edge-contact-order",
         "edge-not-a-pair", "long-ray", "long-class", "non-integral-class",
-        "non-integral-cone", "edge-one-end", "edge-no-ends"])
+        "non-integral-cone", "edge-one-end", "edge-no-ends",
+        "string-and-bool-contact-order", "padded-string-contact-order"])
 def test_malformed_type_is_usage_error(bundle, tmp_path, capsys, path,
                                        value):
     data = bent_line_type().to_json()

@@ -6,6 +6,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import time
 from collections import Counter
 from fractions import Fraction
@@ -150,6 +151,30 @@ def test_rejects_non_parallel_exponent():
         LocalInstance(trunc=T12, rays=(LocalRay((1, 0), f),))
 
 
+@pytest.mark.parametrize("direction, m, parallel", [
+    ((1, 2), (-2, -4), True),
+    ((1, 2), (3, 6), True),
+    ((1, 2), (1, 3), False),
+    ((2, 3), (1, 1), False),
+    ((2, 3), (-2, -4), False),
+    ((0, 1), (0, -3), True),
+    ((0, 1), (1, -3), False),
+    ((-1, 0), (5, 0), True),
+    ((-1, 0), (5, 1), False),
+    ((3, -2), (-6, 4), True),
+    ((3, -2), (-3, 4), False),
+])
+def test_ray_exponents_must_be_nonzero_multiples(direction, m, parallel):
+    f = RingElement.one(LOCAL_CHART, T12, 2).add(mono((1, 0), m))
+    rays = (LocalRay(direction, f),)
+    if parallel:
+        LocalInstance(trunc=T12, rays=rays)
+        return
+    message = f"exponent {m} is not parallel to {direction}"
+    with pytest.raises(InadmissibleWallDirection, match=re.escape(message)):
+        LocalInstance(trunc=T12, rays=rays)
+
+
 def test_rejects_bad_constant_term():
     f = mono((0, 0), (0, 0), 2)
     with pytest.raises(InadmissibleWallDirection):
@@ -249,6 +274,27 @@ def test_completion_same_parameter_to_weight_four():
     assert [r.direction for r in new] == [(-1, -1)]
     assert new[0].function == RingElement.one(LOCAL_CHART, T4, 2).add(
         RingElement.monomial((2,), (1, 1), 1, LOCAL_CHART, T4))
+
+
+def test_completion_keeps_large_coefficients_exact():
+    """(1 + c1 t1 x)(1 + c2 t2 y) scatters to the single ray 1 + c1 c2 t1 t2 xy
+    at weight 2; c1 c2 is beyond 2^53, so a float anywhere in solving for
+    the coefficient would lose it."""
+    c1, c2 = 999999937, 999999929
+    trunc = Truncation.degree(2, 2)
+    rays = []
+    for c, A, a in ((c1, (1, 0), (1, 0)), (c2, (0, 1), (0, 1))):
+        f = RingElement.one(LOCAL_CHART, trunc, 2).add(
+            mono(A, a, c, trunc=trunc))
+        rays += [LocalRay(a, f), LocalRay(tuple(-x for x in a), f)]
+    inst = LocalInstance(trunc=trunc, rays=tuple(rays))
+    done = complete_codim0(inst)
+    new = [r for r in nontrivial_rays(done) if r not in inst.rays]
+    assert [r.direction for r in new] == [(-1, -1)]
+    assert new[0].function.terms == {((0, 0), (0, 0)): 1,
+                                     ((1, 1), (1, 1)): c1 * c2}
+    assert c1 * c2 == 999999866000004473 > 2 ** 53
+    assert oracle_is_identity(done)
 
 
 def test_completion_beyond_truncation_rejected():

@@ -28,6 +28,7 @@ from wallcross.ring import (
     multiply,
     transport,
 )
+from wallcross.walls import apply_theta
 
 T3 = Truncation.degree(curve_rank=1, bound=3)
 T2 = Truncation.degree(curve_rank=1, bound=2)
@@ -269,6 +270,67 @@ def test_property_ring_laws(f, g, h):
     assert multiply(f, g) == multiply(g, f)
     assert multiply(multiply(f, g), h) == multiply(f, multiply(g, h))
     assert multiply(f, g.add(h)) == multiply(f, g).add(multiply(f, h))
+
+
+# Every stored coefficient is an int (never a bool) or a Fraction with
+# denominator > 1, under degree and generator truncations alike.
+INVARIANT_TRUNCS = (Truncation.degree(2, 4, weights=(1, 2)),
+                    Truncation.from_generators(2, ((3, 0), (1, 1), (0, 2))))
+
+coeff_strategy = st.one_of(
+    st.integers(-6, 6), st.booleans(),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.integers(-3, 3).map(lambda k: Fraction(2 * k, 2)))
+
+
+def terms_strategy(nilpotent):
+    cls = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    return st.lists(st.tuples(cls.filter(any) if nilpotent else cls,
+                              st.tuples(st.integers(-2, 2),
+                                        st.integers(-2, 2)),
+                              coeff_strategy), max_size=4)
+
+
+def in_stored_form(e: RingElement) -> bool:
+    return all(type(c) is int or (type(c) is Fraction and c.denominator > 1)
+               for c in e.terms.values())
+
+
+def oracle_mul(f: RingElement, g: RingElement) -> dict:
+    """The product's terms by plain dictionaries, filtered by in_ideal."""
+    out = {}
+    for (A1, m1), c1 in f.terms.items():
+        for (A2, m2), c2 in g.terms.items():
+            A = tuple(a + b for a, b in zip(A1, A2))
+            if not f.trunc.in_ideal(A):
+                m = tuple(a + b for a, b in zip(m1, m2))
+                out[(A, m)] = out.get((A, m), Fraction(0)) + \
+                    Fraction(c1) * Fraction(c2)
+    return {k: c for k, c in out.items() if c}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(INVARIANT_TRUNCS), terms_strategy(False),
+       terms_strategy(True), terms_strategy(True), coeff_strategy)
+def test_property_coefficients_stay_in_stored_form(trunc, f_terms, g_terms,
+                                                   w_terms, c):
+    f, g, w = (build(t, trunc) for t in (f_terms, g_terms, w_terms))
+    u = RingElement.one(CONE, trunc, 2).add(g)
+    wall = RingElement.one(CONE, trunc, 2).add(w)
+    results = [
+        RingElement.monomial((1, 0), (1, 1), c, CONE, trunc),
+        f, g, f.add(g), f.sub(g), f.sub(f), f.scale(c), f.mul(g), f.mul(u),
+        f.mul(f), u.pow_int(-1), u.pow_int(-2), u.pow_int(3), f.pow_int(2),
+        exp_truncated(g), log_unipotent(u), invert(u),
+        transport(f, FLIP, normal=(0, 1), kink=(1, 0), target_cone="s2",
+                  group_level=True),
+        apply_theta(wall, (1, -1), f), apply_theta(wall, (-2, 1), u),
+        RingElement.from_json(f.to_json(), CONE, trunc, 2),
+    ]
+    for e in results:
+        assert in_stored_form(e), e.terms
+    for a, b in ((f, g), (f, u), (u, f), (f, f), (wall, u)):
+        assert a.mul(b).terms == oracle_mul(a, b)
 
 
 nilpotent_strategy = st.lists(

@@ -26,7 +26,7 @@ from .errors import (
     UnsupportedDimension,
 )
 from .geometry import ConeComplex, PointInChart
-from .lattice import IntegerMatrix, smith_normal_form
+from .lattice import IntegerMatrix, smith_row_transform
 from .ring import RingElement, Truncation, exp_truncated, integer_vector
 from .walls import (
     SlabData,
@@ -456,9 +456,10 @@ def localize_at_joint(s: WallStructure, joint) -> LocalizedJoint:
     ray = primitive(ray)
     if _boundary_facets(cx, chart, ray):
         raise BoundaryJoint(f"ray {ray} lies in the boundary")
-    # unimodular coordinates: first coordinate along the ray
-    snf = smith_normal_form(IntegerMatrix.from_rows([[x] for x in ray]))
-    u_rows = snf.U.to_rows()          # U * ray = (1, 0, ..., 0)
+    # unimodular coordinates, first coordinate along the ray:
+    # U * ray = (1, 0, ..., 0)
+    u_rows = smith_row_transform(
+        IntegerMatrix.from_rows([[x] for x in ray])).to_rows()
     inv_rank = 1
     order = list(range(1, n)) + [0]   # transverse first, invariant last
     rows = [u_rows[i] for i in order]

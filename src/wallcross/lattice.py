@@ -3,13 +3,19 @@
 Smith normal form over the integers with unimodular transforms, cokernel
 orders, and integer kernels.  These are the primitives behind every lattice
 index (wall multiplicities, gluing multiplicities, fibration indices).
+
+One elimination (``_eliminate``) brings a matrix to Smith form.  Each entry
+point tracks only the transforms it reads: ``smith_normal_form`` both U
+and V, ``kernel_basis`` V, ``smith_row_transform`` U and
+``invariant_factors`` (behind ``cokernel_order``) neither.  Every transform
+that is built is checked unimodular.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, prod
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .linalg import det, mat_mul, mat_vec
 
@@ -29,6 +35,17 @@ class IntegerMatrix:
             raise ValueError("entry array length must equal rows*cols")
         if not all(isinstance(e, int) for e in self.entries):
             raise ValueError("entries must be integers")
+
+    @classmethod
+    def _make(cls, rows: int, cols: int, int_rows: Iterable[Sequence[int]]
+              ) -> "IntegerMatrix":
+        """A matrix from computed integer rows, without re-checking them."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "entries",
+                           tuple(x for row in int_rows for x in row))
+        return m
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntegerMatrix":
@@ -80,57 +97,59 @@ class SmithDecomposition:
     def rank(self) -> int:
         return sum(1 for d in self.diagonal if d != 0)
 
-    @property
-    def torsion(self) -> int:
-        """Product of the nonzero invariant factors."""
-        return prod(d for d in self.diagonal if d != 0)
 
+def _eliminate(a: list[list[int]], cols: int,
+               u: list[list[int]] | None = None,
+               vt: list[list[int]] | None = None) -> None:
+    """Bring the integer rows ``a`` (``cols`` columns) to Smith form in place.
 
-def smith_normal_form(M: IntegerMatrix) -> SmithDecomposition:
-    """Smith normal form by elementary row/column operations.
-
-    Pivot selection: smallest nonzero absolute value in the remaining block
-    (keeps intermediate entries small).  Deterministic.
+    Pivot selection: smallest nonzero absolute value in the remaining block,
+    first in row-major order (keeps intermediate entries small).  Each row
+    step is also applied to ``u`` and each column step to ``vt``, which
+    holds the columns of V as its rows, when the caller passes them.  The
+    steps depend on ``a`` alone, so tracking a transform or not changes
+    neither D nor the other transform.  Deterministic.
     """
-    a = M.to_rows()
-    r, c = M.rows, M.cols
-    u = [[int(i == j) for j in range(r)] for i in range(r)]
-    v = [[int(i == j) for j in range(c)] for i in range(c)]
+    r, c = len(a), cols
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
+        if u is not None:
+            u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
         for row in a:
             row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
+        if vt is not None:
+            vt[i], vt[j] = vt[j], vt[i]
 
     def add_row(src, dst, mult):  # row dst += mult * row src
         a[dst] = [x + mult * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + mult * y for x, y in zip(u[dst], u[src])]
+        if u is not None:
+            u[dst] = [x + mult * y for x, y in zip(u[dst], u[src])]
 
-    def add_col(src, dst, mult):
+    def add_col(src, dst, mult):  # col dst += mult * col src
         for row in a:
             row[dst] += mult * row[src]
-        for row in v:
-            row[dst] += mult * row[src]
+        if vt is not None:
+            vt[dst] = [x + mult * y for x, y in zip(vt[dst], vt[src])]
 
     def negate_row(i):
         a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
+        if u is not None:
+            u[i] = [-x for x in u[i]]
 
     t = 0
     n = min(r, c)
     while t < n:
         # locate smallest-|entry| nonzero pivot in the trailing block
-        best = None
+        best, size = None, 0
         for i in range(t, r):
+            row = a[i]
             for j in range(t, c):
-                if a[i][j] != 0 and (best is None
-                                     or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
+                x = row[j]
+                if x and (best is None or abs(x) < size):
+                    best, size = (i, j), abs(x)
         if best is None:
             break
         swap_rows(t, best[0])
@@ -171,7 +190,9 @@ def smith_normal_form(M: IntegerMatrix) -> SmithDecomposition:
                 # Bezout: s*di + t*dj = g
                 s, tt = _bezout(di, dj)
                 # row i := s*row i + t*row (i+1)
-                _combine_rows(a, u, i, i + 1, s, tt, di // g, dj // g)
+                _combine_rows(a, i, i + 1, s, tt, di // g, dj // g)
+                if u is not None:
+                    _combine_rows(u, i, i + 1, s, tt, di // g, dj // g)
                 # now a[i][i] = g; clear the off entries
                 q = a[i + 1][i] // g
                 add_row(i, i + 1, -q)
@@ -183,12 +204,44 @@ def smith_normal_form(M: IntegerMatrix) -> SmithDecomposition:
                     negate_row(i + 1)
                 changed = True
 
-    if abs(det(u)) != 1 or abs(det(v)) != 1:
+
+def _identity_rows(n: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _check_unimodular(*transforms: list[list[int]]) -> None:
+    # a real raise: ``python -O`` strips assert statements
+    if any(abs(det(t)) != 1 for t in transforms):
         raise AssertionError("Smith normal form transforms are not unimodular")
-    return SmithDecomposition(
-        U=IntegerMatrix(r, r, tuple(x for row in u for x in row)),
-        D=IntegerMatrix(r, c, tuple(x for row in a for x in row)),
-        V=IntegerMatrix(c, c, tuple(x for row in v for x in row)))
+
+
+def smith_normal_form(M: IntegerMatrix) -> SmithDecomposition:
+    """Smith normal form by elementary row/column operations, with both
+    transforms (see ``_eliminate``)."""
+    r, c = M.rows, M.cols
+    a, u, vt = M.to_rows(), _identity_rows(r), _identity_rows(c)
+    _eliminate(a, c, u, vt)
+    _check_unimodular(u, vt)   # det(V) = det(V^T)
+    return SmithDecomposition(U=IntegerMatrix._make(r, r, u),
+                              D=IntegerMatrix._make(r, c, a),
+                              V=IntegerMatrix._make(c, c, zip(*vt)))
+
+
+def invariant_factors(M: IntegerMatrix) -> tuple[int, ...]:
+    """Diagonal of the Smith form of M, from an elimination that builds
+    neither transform."""
+    a = M.to_rows()
+    _eliminate(a, M.cols)
+    return tuple(a[i][i] for i in range(min(M.rows, M.cols)))
+
+
+def smith_row_transform(M: IntegerMatrix) -> IntegerMatrix:
+    """The U of the Smith form U·M·V = D, from an elimination that builds
+    U alone."""
+    a, u = M.to_rows(), _identity_rows(M.rows)
+    _eliminate(a, M.cols, u=u)
+    _check_unimodular(u)
+    return IntegerMatrix._make(M.rows, M.rows, u)
 
 
 def _bezout(x: int, y: int) -> tuple[int, int]:
@@ -206,18 +259,15 @@ def _bezout(x: int, y: int) -> tuple[int, int]:
     return old_s, old_t
 
 
-def _combine_rows(a, u, i, j, s, t, x, y):
+def _combine_rows(a, i, j, s, t, x, y):
     """Unimodularly replace (row_i, row_j) by (s·row_i + t·row_j, ...).
 
     The second output row is -y·row_i + x·row_j, where x = d_i/g, y = d_j/g,
     making the 2x2 transform [[s, t], [-y, x]] have determinant s·x + t·y = 1.
     """
-    ai, aj = a[i][:], a[j][:]
-    ui, uj = u[i][:], u[j][:]
+    ai, aj = a[i], a[j]
     a[i] = [s * p + t * q for p, q in zip(ai, aj)]
-    u[i] = [s * p + t * q for p, q in zip(ui, uj)]
     a[j] = [-y * p + x * q for p, q in zip(ai, aj)]
-    u[j] = [-y * p + x * q for p, q in zip(ui, uj)]
 
 
 def cokernel_order(M: IntegerMatrix, torsion_only: bool = False):
@@ -227,20 +277,20 @@ def cokernel_order(M: IntegerMatrix, torsion_only: bool = False):
     invariant factors).  Otherwise returns the full order: the product of
     invariant factors when M has full row rank over Q, else ``INFINITE``.
     """
-    snf = smith_normal_form(M)
-    if torsion_only or snf.rank == M.rows:
-        return snf.torsion
+    nonzero = [d for d in invariant_factors(M) if d != 0]
+    if torsion_only or len(nonzero) == M.rows:
+        return prod(nonzero)
     return INFINITE
 
 
 def kernel_basis(M: IntegerMatrix) -> list[tuple[int, ...]]:
-    """Basis of the saturated integer kernel of M (columns of V past rank)."""
-    snf = smith_normal_form(M)
-    v = snf.V.to_rows()
-    basis = []
-    for j in range(snf.rank, M.cols):
-        basis.append(tuple(v[i][j] for i in range(M.cols)))
-    return basis
+    """Basis of the saturated integer kernel of M (columns of V past rank),
+    from an elimination that builds V alone."""
+    a, vt = M.to_rows(), _identity_rows(M.cols)
+    _eliminate(a, M.cols, vt=vt)
+    _check_unimodular(vt)
+    rank = sum(1 for i in range(min(M.rows, M.cols)) if a[i][i] != 0)
+    return [tuple(col) for col in vt[rank:]]
 
 
 def lattice_index(M: IntegerMatrix):

@@ -1,8 +1,9 @@
 """Exact linear algebra on small dense matrices.
 
-Ranks, kernels and linear solves work over fractions.Fraction and serve the
-polyhedral and tropical machinery.  ``det`` is fraction-free: it takes an
-integer matrix and returns an ``int``.  Matrices are tuples/lists of rows.
+Kernels and linear solves work over fractions.Fraction and serve the
+polyhedral and tropical machinery.  ``rank`` and ``det`` are fraction-free:
+they take an integer matrix and run Bareiss elimination on it, so every
+entry stays an ``int``.  Matrices are tuples/lists of rows.
 """
 
 from __future__ import annotations
@@ -61,13 +62,6 @@ def _rref(m: Matrix, cols: int | None = None) -> tuple[Matrix, list[int]]:
     return m, pivots
 
 
-def rank(m: Sequence[Sequence]) -> int:
-    if not m:
-        return 0
-    _, pivots = _rref(to_fraction_matrix(m))
-    return len(pivots)
-
-
 def nullspace(m: Sequence[Sequence], cols: int | None = None) -> list[Vector]:
     """Basis of the right kernel of m (list of column vectors as tuples)."""
     mm = to_fraction_matrix(m)
@@ -124,6 +118,37 @@ def cone_coords(generators: Sequence[Sequence], v: Sequence) -> Vector | None:
     if sol is None or any(c < 0 for c in sol):
         return None
     return sol
+
+
+def rank(m: Sequence[Sequence[int]]) -> int:
+    """Rank of an integer matrix over the rationals.
+
+    Bareiss fraction-free row echelon elimination, as in ``det``: after each
+    pivot step every remaining entry is a minor of the row-permuted matrix
+    on the pivot columns so far plus its own column, so the division by the
+    previous pivot is exact.  A column with no nonzero entry left below the
+    pivot rows is skipped.
+    """
+    a = [list(row) for row in m]
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    rk, prev = 0, 1
+    for c in range(cols):
+        piv = next((i for i in range(rk, rows) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[rk], a[piv] = a[piv], a[rk]
+        p, top = a[rk][c], a[rk]
+        for i in range(rk + 1, rows):
+            row = a[i]
+            f = row[c]
+            for j in range(c + 1, cols):
+                row[j] = (p * row[j] - f * top[j]) // prev
+        prev = p
+        rk += 1
+        if rk == rows:
+            break
+    return rk
 
 
 def det(m: Sequence[Sequence[int]]) -> int:

@@ -11,7 +11,7 @@ types into product types.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 from typing import Sequence
 
 from . import linalg
@@ -27,8 +27,8 @@ from .geometry import ConeComplex
 from .lattice import (
     IntegerMatrix,
     cokernel_order,
+    invariant_factors,
     kernel_basis,
-    smith_normal_form,
 )
 from .ring import integer, integer_vector
 
@@ -602,9 +602,9 @@ def splitting_multiplicity(pieces: Sequence[SplitPiece],
         rows += [[c[i] for c in coords] or [0] for i in range(len(e.lattice))]
     total = len(columns)
     target_dim = len(rows)
-    eps = IntegerMatrix.from_rows(rows)
-    snf = smith_normal_form(eps)
-    rk = snf.rank
+    nonzero = [d for d in invariant_factors(IntegerMatrix.from_rows(rows))
+               if d != 0]
+    rk = len(nonzero)
     rank_ok = rk == target_dim
     if not rank_ok:
         raise RankDeficient(
@@ -612,7 +612,7 @@ def splitting_multiplicity(pieces: Sequence[SplitPiece],
     # dimension formula: sum of enlarged dims = glued dim + sum of ranks
     glued_dim = total - rk
     dim_ok = total == glued_dim + target_dim
-    return MultiplicityResult(multiplicity=snf.torsion, rank_ok=rank_ok,
+    return MultiplicityResult(multiplicity=prod(nonzero), rank_ok=rank_ok,
                               dimension_formula_ok=dim_ok,
                               epsilon=tuple(tuple(r) for r in rows))
 

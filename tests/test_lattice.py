@@ -19,13 +19,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wallcross import linalg
 from wallcross.lattice import (
     INFINITE,
     IntegerMatrix,
     cokernel_order,
+    invariant_factors,
     kernel_basis,
     lattice_index,
     smith_normal_form,
+    smith_row_transform,
 )
 
 
@@ -66,6 +69,18 @@ def oracle_invariant_factors(rows):
         factors.append(dets[k] // dets[k - 1])
     factors += [0] * (n - len(factors))
     return factors
+
+
+def oracle_rank(rows):
+    """The largest k with a nonzero k-by-k minor."""
+    r = len(rows)
+    c = len(rows[0]) if r else 0
+    for k in range(min(r, c), 0, -1):
+        if any(_minor_det(rows, ri, ci) != 0
+               for ri in combinations(range(r), k)
+               for ci in combinations(range(c), k)):
+            return k
+    return 0
 
 
 def check_decomposition(m, snf):
@@ -211,10 +226,95 @@ def test_property_block_diagonal_multiplicative(rows1, rows2):
 @settings(max_examples=100, deadline=None)
 @given(small_matrix)
 def test_property_rank_matches_rational_rank(rows):
-    from wallcross import linalg
-
     m = IntegerMatrix.from_rows(rows)
-    assert smith_normal_form(m).rank == linalg.rank(rows)
+    expected = oracle_rank(rows)
+    assert smith_normal_form(m).rank == expected
+    assert linalg.rank(rows) == expected
+
+
+def test_rank_of_empty_zero_and_deficient_matrices():
+    cases = [[], [[]], [[0]], [[0, 0, 0]], [[0], [0]], [[0] * 4] * 3,
+             # a skipped column before and after a pivot
+             [[0, 1, 2], [0, 2, 4], [0, 3, 7]],
+             [[1, 5, 2], [2, 10, 4], [3, 15, 7]],
+             [[2, 4, 1, 3], [1, 2, 0, 5], [3, 6, 1, 8]]]
+    for rows in cases:
+        assert linalg.rank(rows) == oracle_rank(rows)
+        if rows and rows[0]:
+            m = IntegerMatrix.from_rows(rows)
+            assert smith_normal_form(m).rank == oracle_rank(rows)
+    assert [oracle_rank(rows) for rows in cases] == [0, 0, 0, 0, 0, 0,
+                                                      2, 2, 2]
+
+
+# --- one elimination, tracking only the transforms a caller reads ------------
+
+def _seeded_matrices():
+    """Shapes 1x1 to 5x5 with entries in [-9, 9], some with a zero row and
+    a zero column."""
+    rng = random.Random(20261019)
+    out = []
+    for r in range(1, 6):
+        for c in range(1, 6):
+            for k in range(6):
+                rows = [[rng.randint(-9, 9) for _ in range(c)]
+                        for _ in range(r)]
+                if k % 2:
+                    rows[rng.randrange(r)] = [0] * c
+                if k % 3 == 1:
+                    j = rng.randrange(c)
+                    for row in rows:
+                        row[j] = 0
+                out.append(rows)
+    return out
+
+
+def check_paths_agree(rows):
+    m = IntegerMatrix.from_rows(rows)
+    snf = smith_normal_form(m)
+    assert invariant_factors(m) == snf.diagonal
+    assert list(snf.diagonal) == oracle_invariant_factors(rows)
+    v = snf.V.to_rows()
+    assert kernel_basis(m) == [tuple(v[i][j] for i in range(m.cols))
+                               for j in range(snf.rank, m.cols)]
+    assert smith_row_transform(m) == snf.U
+
+
+def test_transform_free_paths_match_the_full_smith_form():
+    for rows in _seeded_matrices():
+        check_paths_agree(rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_matrix)
+def test_property_transform_free_paths_match(rows):
+    check_paths_agree(rows)
+
+
+def test_localize_at_joint_reads_the_smith_row_transform(monkeypatch):
+    """The joint's unimodular coordinates are the U of the ray's full Smith
+    form."""
+    from tests.test_consistency import plane_wall_pair, t3, threefold
+    from wallcross import consistency
+    from wallcross.walls import WallStructure
+
+    seen = []
+
+    def spy(m):
+        seen.append((m, smith_row_transform(m)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(consistency, "smith_row_transform", spy)
+    cx = threefold()
+    s = WallStructure(complex=cx, trunc=t3(),
+                      walls=tuple(plane_wall_pair(cx, t3())))
+    for ray in ((1, 1, 1), (2, 3, 5), (4, 6, 1)):
+        consistency.localize_at_joint(s, ((0, 1, 2), ray))
+    assert [m.to_rows() for m, _u in seen] == \
+        [[[1], [1], [1]], [[2], [3], [5]], [[4], [6], [1]]]
+    for m, u in seen:
+        assert u == smith_normal_form(m).U
+        assert u.apply([row[0] for row in m.to_rows()]) == (1, 0, 0)
 
 
 # --- matrix times vector and the unimodularity check ------------------------
@@ -238,16 +338,33 @@ def test_apply_returns_integers():
 
 
 def test_non_unimodular_transform_raises_under_optimization():
-    # the check must be a real raise: ``python -O`` strips assert statements
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    # the check must be a real raise: ``python -O`` strips assert statements;
+    # every path that builds a transform checks it: the full Smith form,
+    # the kernel (V) and the joint's unimodular coordinates (U)
+    root = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
     script = ("import wallcross.lattice as L\n"
+              "from tests.test_consistency import plane_wall_pair, t3, "
+              "threefold\n"
+              "from wallcross.consistency import localize_at_joint\n"
+              "from wallcross.walls import WallStructure\n"
+              "cx = threefold()\n"
+              "s = WallStructure(complex=cx, trunc=t3(),\n"
+              "                  walls=tuple(plane_wall_pair(cx, t3())))\n"
               "L.det = lambda rows: 2\n"
-              "try:\n"
-              "    L.smith_normal_form(L.IntegerMatrix.from_rows([[2, 4]]))\n"
-              "except AssertionError:\n"
-              "    raise SystemExit(0)\n"
-              "raise SystemExit(1)\n")
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+              "calls = [\n"
+              "    lambda: L.smith_normal_form(\n"
+              "        L.IntegerMatrix.from_rows([[2, 4]])),\n"
+              "    lambda: L.kernel_basis(L.IntegerMatrix.from_rows([[2, 4]])),\n"
+              "    lambda: localize_at_joint(s, ((0, 1, 2), (2, 3, 5))),\n"
+              "]\n"
+              "for k, call in enumerate(calls):\n"
+              "    try:\n"
+              "        call()\n"
+              "    except AssertionError:\n"
+              "        continue\n"
+              "    raise SystemExit(f'case {k} did not raise')\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(root, "src"), root]))
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr

@@ -228,8 +228,9 @@ def test_extra_transverse_factor_in_codim_one(cx, u_inc, ks):
 
 
 def test_multiplicity_computes_each_quantity_once(cx, monkeypatch):
-    """One Smith form of the difference map, read for both its rank and its
-    index, and one exact elimination per gluing edge, not one per column."""
+    """One elimination of the difference map, read for both its rank and its
+    index and building neither transform (so no full Smith form), and one
+    exact elimination per gluing edge, not one per column."""
     from wallcross import lattice, linalg, tropical
 
     pieces, glue = bend_configuration((3, -2), (2, 1), 0)
@@ -237,7 +238,14 @@ def test_multiplicity_computes_each_quantity_once(cx, monkeypatch):
     # call counted below belongs to the multiplicity itself
     cones = {p.type: tropical.universal_cone(p.type, cx) for p in pieces}
     monkeypatch.setattr(tropical, "universal_cone", lambda t, _cx: cones[t])
-    smith_inputs, rank_calls, eliminations = [], [], []
+    smith_calls, rank_calls, eliminations = [], [], []
+    smith_eliminations = []
+    real_eliminate = lattice._eliminate
+
+    def eliminate(a, cols, u=None, vt=None):
+        smith_eliminations.append(
+            ([row[:] for row in a], u is not None, vt is not None))
+        return real_eliminate(a, cols, u, vt)
 
     def counted(log, fn):
         def wrapper(*args, **kwargs):
@@ -245,16 +253,19 @@ def test_multiplicity_computes_each_quantity_once(cx, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for mod in (lattice, tropical):
-        monkeypatch.setattr(mod, "smith_normal_form",
-                            counted(smith_inputs, mod.smith_normal_form))
+    monkeypatch.setattr(lattice, "_eliminate", eliminate)
+    monkeypatch.setattr(lattice, "smith_normal_form",
+                        counted(smith_calls, lattice.smith_normal_form))
     monkeypatch.setattr(linalg, "rank", counted(rank_calls, linalg.rank))
     monkeypatch.setattr(linalg, "_rref", counted(eliminations, linalg._rref))
 
     res = splitting_multiplicity(pieces, glue, cx)
     assert res.multiplicity == 5 and res.rank_ok
     eps = [list(row) for row in res.epsilon]
-    assert sum(1 for m in smith_inputs if m.to_rows() == eps) == 1
+    assert [tracked for rows, *tracked in smith_eliminations
+            if rows == eps] == [[False, False]]
+    assert not any(u and v for _rows, u, v in smith_eliminations)
+    assert smith_calls == []
     assert rank_calls == []
     assert len(eliminations) == len(glue) == 3
 

@@ -208,10 +208,20 @@ def test_bent_broken_line_classified():
 
 def test_classify_takes_one_kernel(monkeypatch):
     """The universal cone's integer kernel is the only kernel: no rational
-    nullspace, one Smith form for it and one for the out-leg cokernel."""
+    nullspace, and two Smith eliminations, one for the kernel that builds V
+    alone and one for the out-leg cokernel that builds no transform."""
     from wallcross import lattice, linalg, tropical
 
-    smith_inputs, nullspaces = [], []
+    t, cx = bent_line_type(), quadrant_complex()
+    uc = tropical.universal_cone(t, cx)
+    kernel_rows = [list(r) for r in uc.equalities] or [[0] * uc.nvars]
+    eliminations, nullspaces = [], []
+    real_eliminate = lattice._eliminate
+
+    def eliminate(a, cols, u=None, vt=None):
+        eliminations.append(
+            ([row[:] for row in a], u is not None, vt is not None))
+        return real_eliminate(a, cols, u, vt)
 
     def counted(log, fn):
         def wrapper(*args, **kwargs):
@@ -219,15 +229,17 @@ def test_classify_takes_one_kernel(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for mod in (lattice, tropical):
-        monkeypatch.setattr(mod, "smith_normal_form",
-                            counted(smith_inputs, mod.smith_normal_form))
+    monkeypatch.setattr(lattice, "_eliminate", eliminate)
     monkeypatch.setattr(linalg, "nullspace",
                         counted(nullspaces, linalg.nullspace))
-    cls = classify(bent_line_type(), quadrant_complex())
+    cls = classify(t, cx)
     assert cls.kind == "broken-line"
     assert nullspaces == []
-    assert len(smith_inputs) == 2
+    assert len(eliminations) == 2
+    assert [tracked for rows, *tracked in eliminations
+            if rows == kernel_rows] == [[False, True]]
+    assert [tracked for rows, *tracked in eliminations
+            if rows != kernel_rows] == [[False, False]]
 
 
 def test_degenerate_line():

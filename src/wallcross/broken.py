@@ -30,7 +30,7 @@ from .errors import (
     WrongSideCrossing,
 )
 from .geometry import GenericPointSampler, PointInChart
-from .linalg import det, mat_vec
+from .linalg import det
 from .ring import RingElement, Truncation
 from .tropical import Edge, Leg, TropicalType, Vertex
 from .walls import (Chamber, Wall, WallStructure, _cone_key, cross_wall,
@@ -219,10 +219,10 @@ def _candidate_monomials(s: WallStructure, p_cone, p):
                     seen.add(state)
                     frontier.append(state)
         for c in cx.crossings(chart).values():
-            A2 = tuple(a + m[c.pos] * k for a, k in zip(A, c.kink))
+            A2, m2 = c.monomial(A, m)
             if any(a < 0 for a in A2) or trunc.in_ideal(A2):
                 continue
-            state = (c.target, A2, mat_vec(c.matrix, m))
+            state = (c.target, A2, m2)
             if state not in seen:
                 seen.add(state)
                 frontier.append(state)
@@ -304,7 +304,7 @@ def _slab_function(s: WallStructure, chart, rho, q):
             continue
         q_local = q
         if w.cone != chart:
-            q_local = mat_vec(s.complex.crossing_to(chart, w.cone).matrix, q)
+            q_local = s.complex.crossing_to(chart, w.cone).vector(q)
         if w.contains_point(q_local) is None:
             continue
         fw = s.complex.transport_element(w.function, w.cone, chart)
@@ -334,7 +334,7 @@ def _same_asymptotic(cx, chart, m, p_cone, p):
         c = cx.crossing_to(chart, p_cone)
     except NotAdjacent:
         return False
-    return m[c.pos] == 0 and mat_vec(c.matrix, m) == tuple(p)
+    return m[c.pos] == 0 and c.vector(m) == tuple(p)
 
 
 def _trace(s, chart, point, A, m, p_cone, p, decorated, depth):
@@ -382,15 +382,14 @@ def _trace(s, chart, point, A, m, p_cone, p, decorated, depth):
         bends += _bends(f, -m[pos], A, m, logs)
     for cid, A2, m2, fields in bends:
         # backward transport into the neighbouring chart
-        A3 = tuple(a + m2[pos] * k for a, k in zip(A2, c.kink))
+        A3, m3 = c.monomial(A2, m2)
         if any(a < 0 for a in A3):
             continue
-        m3 = mat_vec(c.matrix, m2)
         bend = None if fields is None else Bend(
             cone=chart, point=q, cell=c.rho, wall_index=first, on_slab=True,
             kink_class=c.kink, **fields)
         step = (("rho", c.rho, cid), bend, (c.target, A3, m3))
-        for rest in _trace(s, c.target, mat_vec(c.matrix, q), A3, m3,
+        for rest in _trace(s, c.target, c.vector(q), A3, m3,
                            p_cone, p, decorated, depth + 1):
             yield straight + (step,) + rest
 

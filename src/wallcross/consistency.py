@@ -27,7 +27,8 @@ from .errors import (
 )
 from .geometry import ConeComplex, PointInChart
 from .lattice import IntegerMatrix, smith_row_transform
-from .ring import RingElement, Truncation, exp_truncated, integer_vector
+from .ring import (RingElement, Truncation, exp_truncated, integer,
+                   integer_vector)
 from .walls import (
     SlabData,
     SlabRingElement,
@@ -93,7 +94,9 @@ class LocalInstance:
     @classmethod
     def from_json(cls, data) -> "LocalInstance":
         trunc = truncation_from_json(data["trunc"])
-        inv = int(data.get("invariant_rank", 0))
+        inv = integer(data.get("invariant_rank", 0))
+        if inv < 0:
+            raise ValueError(f"invariant_rank must be >= 0, got {inv}")
         rays = tuple(
             LocalRay(direction=integer_vector(r["direction"]),
                      function=RingElement.from_json(
@@ -418,16 +421,6 @@ def _slab_lift(slab, trunc, theta_u, theta_u2, pos_u, extra_u,
 
 # -- joint checks ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LocalizedJoint:
-    """A joint localization: a planar instance or the global dispatch."""
-
-    instance: LocalInstance | None
-    global_dispatch: bool
-    chart: tuple | None = None
-    basis: tuple | None = None   # unimodular exponent map rows
-
-
 def _is_apex(joint) -> bool:
     if joint is None or joint == "apex":
         return True
@@ -437,17 +430,16 @@ def _is_apex(joint) -> bool:
     return False
 
 
-def localize_at_joint(s: WallStructure, joint) -> LocalizedJoint:
+def localize_at_joint(s: WallStructure, joint) -> LocalInstance:
     """Planar instance of the structure around an interior joint.
 
-    The joint is the apex (dispatches to the global patching check) or a
-    pair (chart, ray) naming a ray inside a chart of a structure with
-    n >= 3; directions along the ray become invariant exponent coordinates
-    and walls containing the ray contribute their tangent cones.
+    The joint is a pair (chart, ray) naming a ray inside a chart of a
+    structure with n >= 3 (``check_joint`` sends the apex to the global
+    patching check instead); directions along the ray become invariant
+    exponent coordinates and walls containing the ray contribute their
+    tangent cones.  A ray in the boundary raises ``BoundaryJoint``.
     """
     cx = s.complex
-    if _is_apex(joint):
-        return LocalizedJoint(instance=None, global_dispatch=True)
     chart, ray = tuple(joint[0]), tuple(int(x) for x in joint[1])
     n = cx.n
     if n < 3:
@@ -482,10 +474,8 @@ def localize_at_joint(s: WallStructure, joint) -> LocalizedJoint:
              for (A, m), c in w.function.terms.items()},
             LOCAL_CHART, s.trunc, 2 + inv_rank)
         rays.append(LocalRay(direction=direction, function=func))
-    inst = LocalInstance(trunc=s.trunc, rays=tuple(rays),
+    return LocalInstance(trunc=s.trunc, rays=tuple(rays),
                          invariant_rank=inv_rank)
-    return LocalizedJoint(instance=inst, global_dispatch=False,
-                          chart=chart, basis=tuple(tuple(r) for r in rows))
 
 
 def check_joint(s, joint=None, p_set: dict | None = None,
@@ -515,11 +505,11 @@ def check_joint(s, joint=None, p_set: dict | None = None,
                            verdict="pass" if report.passed else "fail",
                            witness=witness)
     try:
-        loc = localize_at_joint(s, joint)
+        inst = localize_at_joint(s, joint)
     except BoundaryJoint:
         return _boundary_joint_report(s, joint)
     codim = min(s.complex.n - len(s.complex.cell_of(*joint)), 2)
-    ok, witness = identity_around(loc.instance)
+    ok, witness = identity_around(inst)
     return JointReport(joint=joint, codim=codim, boundary=False,
                        verdict="pass" if ok else "fail", witness=witness)
 

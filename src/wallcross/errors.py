@@ -67,10 +67,6 @@ class NotUnipotent(RingError):
     """Inversion requires constant term 1."""
 
 
-class InadmissibleExponent(RingError):
-    """Monoid-level transport of a monomial pointing the wrong way."""
-
-
 class TruncationError(RingError):
     """The truncation ideal does not have finite complement."""
 

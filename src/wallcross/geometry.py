@@ -30,7 +30,7 @@ from .errors import (
     NotRelative,
     NotSubmersion,
 )
-from .linalg import det, mat_mul
+from .linalg import det, mat_mul, mat_vec
 
 ConeId = tuple[int, ...]
 
@@ -106,6 +106,8 @@ class Crossing:
     ``pos`` is the source chart position of the ray off ``rho`` (its
     conormal positive into the source is e_pos); ``matrix`` maps source
     coordinates to those of ``target``, and ``kink`` is rho's kink class.
+    ``vector`` and ``monomial`` are the one place where a chart changes:
+    t^A z^m crosses to t^(A + m[pos]·kink) z^(matrix·m).
     """
 
     rho: ConeId
@@ -113,6 +115,18 @@ class Crossing:
     target: ConeId
     matrix: tuple[tuple[int, ...], ...]
     kink: tuple[int, ...]
+
+    def vector(self, v: Sequence) -> tuple:
+        """A point or an exponent in target coordinates."""
+        return mat_vec(self.matrix, v)
+
+    def monomial(self, A: Sequence[int], m: Sequence[int]
+                 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(class, exponent) of t^A z^m in the target chart; the class bends
+        by the exponent's pairing with the conormal."""
+        k = m[self.pos]
+        return (tuple(a + k * b for a, b in zip(A, self.kink)),
+                mat_vec(self.matrix, m))
 
 
 @dataclass(frozen=True)
@@ -218,33 +232,30 @@ class ConeComplex:
         raise NotAdjacent(
             f"{sigma} and {sigma2} do not share an interior facet")
 
-    def chart_transition(self, sigma: ConeId, sigma2: ConeId):
-        """Transition matrix sigma-coords -> sigma2-coords, plus the kink."""
-        sigma, sigma2 = tuple(sigma), tuple(sigma2)
-        if sigma == sigma2 and sigma in self._crossing_table:
-            return _identity(self.n), (0,) * self.curve_rank
-        c = self.crossing_to(sigma, sigma2)
-        return c.matrix, c.kink
-
     def loop_matrix(self, cone_path: Sequence[ConeId]):
         """Product of the transitions along a closed path of maximal cones."""
         if cone_path[0] != cone_path[-1]:
             raise GeometryError("path must be closed")
         result = _identity(self.n)
         for a, b in zip(cone_path, cone_path[1:]):
-            m, _ = self.chart_transition(a, b)
-            result = mat_mul(m, result)
+            result = mat_mul(self.crossing_to(a, b).matrix, result)
         return tuple(tuple(row) for row in result)
 
     def transport_element(self, f: ring.RingElement, sigma: ConeId,
                           sigma2: ConeId) -> ring.RingElement:
-        """f in the sigma2 chart, transported at group level (a monomial
-        may pair negatively with the conormal)."""
+        """f in the sigma2 chart, term by term through ``Crossing.monomial``
+        (a monomial may pair negatively with the conormal).  The map is
+        injective, so no two terms meet; classes in the ideal are dropped."""
         if tuple(sigma) == tuple(sigma2):
             return f
         c = self.crossing_to(sigma, sigma2)
-        return ring.transport(f, c.matrix, _unit(self.n, c.pos), c.kink,
-                              c.target, group_level=True)
+        in_ideal = f.trunc.in_ideal
+        terms = {}
+        for (A, m), coeff in f.terms.items():
+            A2, m2 = c.monomial(A, m)
+            if not in_ideal(A2):
+                terms[(A2, m2)] = coeff
+        return ring.RingElement._make(terms, c.target, f.trunc, f.n)
 
     # -- relative structure --------------------------------------------------
 
@@ -272,8 +283,8 @@ class ConeComplex:
         for s1, crossings in self._crossing_table.items():
             for c in crossings.values():
                 for j in range(self.n):
-                    img_val = sum(b[c.target[i]] * c.matrix[i][j]
-                                  for i in range(self.n))
+                    img_val = sum(b[d] * x for d, x in
+                                  zip(c.target, c.vector(_unit(self.n, j))))
                     if img_val != b[s1[j]]:
                         raise NotSubmersion(
                             f"fibration not linear across {c.rho}: basis "
@@ -397,8 +408,7 @@ def validate_complex(cx: ConeComplex):
     for sigma in cx.maximal_cones:
         for c in cx.crossings(sigma).values():
             back = cx.crossing_to(c.target, sigma)
-            if tuple(map(tuple, mat_mul(c.matrix, back.matrix))) \
-                    != _identity(n):
+            if any(back.vector(c.vector(e)) != e for e in _identity(n)):
                 raise NonUnimodularChart(
                     f"transitions across {c.rho} do not invert each other")
 

@@ -291,8 +291,3 @@ def kernel_basis(M: IntegerMatrix) -> list[tuple[int, ...]]:
     _check_unimodular(vt)
     rank = sum(1 for i in range(min(M.rows, M.cols)) if a[i][i] != 0)
     return [tuple(col) for col in vt[rank:]]
-
-
-def lattice_index(M: IntegerMatrix):
-    """Index of the image lattice of M inside Z^rows (full cokernel order)."""
-    return cokernel_order(M, torsion_only=False)

@@ -1,23 +1,20 @@
 """Exact linear algebra on small dense matrices.
 
-Kernels and linear solves work over fractions.Fraction and serve the
-polyhedral and tropical machinery.  ``rank`` and ``det`` are fraction-free:
-they take an integer matrix and run Bareiss elimination on it, so every
-entry stays an ``int``.  Matrices are tuples/lists of rows.
+Linear solves (and cone coordinates through them) work over
+fractions.Fraction and serve the polyhedral and tropical machinery; integer
+kernels live in ``lattice``.  ``rank`` and ``det`` are fraction-free: they
+take an integer matrix and run Bareiss elimination on it, so every entry
+stays an ``int``.  Matrices are tuples/lists of rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 Vector = tuple[Fraction, ...]
 Matrix = list[list[Fraction]]
-
-
-def to_fraction_matrix(rows: Iterable[Sequence]) -> Matrix:
-    return [[Fraction(x) for x in row] for row in rows]
 
 
 def mat_vec(m: Sequence[Sequence], v: Sequence) -> tuple:
@@ -60,26 +57,6 @@ def _rref(m: Matrix, cols: int | None = None) -> tuple[Matrix, list[int]]:
         if r == rows:
             break
     return m, pivots
-
-
-def nullspace(m: Sequence[Sequence], cols: int | None = None) -> list[Vector]:
-    """Basis of the right kernel of m (list of column vectors as tuples)."""
-    mm = to_fraction_matrix(m)
-    if cols is None:
-        cols = len(mm[0]) if mm else 0
-    if not mm:
-        return [tuple(Fraction(1 if i == j else 0) for i in range(cols))
-                for j in range(cols)]
-    red, pivots = _rref(mm)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * cols
-        v[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -red[r][f]
-        basis.append(tuple(v))
-    return basis
 
 
 def solve_columns(m: Sequence[Sequence], bs: Sequence[Sequence]

@@ -16,12 +16,10 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
     ConeMismatch,
-    InadmissibleExponent,
     NonNilpotentArgument,
     NotUnipotent,
     TruncationError,
 )
-from .linalg import mat_vec
 
 CurveClass = tuple[int, ...]
 Exponent = tuple[int, ...]
@@ -317,10 +315,6 @@ def _coeff(c) -> Coefficient:
     return c.numerator if c.denominator == 1 else c
 
 
-def multiply(f: RingElement, g: RingElement) -> RingElement:
-    return f.mul(g)
-
-
 def _product_by_exponent(f: RingElement,
                         factor: Callable[[Exponent], RingElement]
                         ) -> RingElement:
@@ -403,31 +397,6 @@ def log_unipotent(f: RingElement) -> RingElement:
     g = _unipotent_part(f, "logarithm")
     return _series(RingElement.zero(f.cone, f.trunc, f.n), g,
                    lambda k: Fraction((-1) ** (k + 1), k))
-
-
-def transport(f: RingElement, matrix: Sequence[Sequence[int]],
-              normal: Sequence[int], kink: Sequence[int], target_cone,
-              group_level: bool = False) -> RingElement:
-    """Parallel transport of f across a codimension-one cell.
-
-    Each monomial t^A z^m maps to t^{A + <normal,m>·kink} z^{M m} where
-    ``normal`` is the primitive conormal of the cell, positive on the source
-    chart, and ``kink`` the bending class of the cell.  At monoid level the
-    pairing must be nonnegative; ``group_level`` lifts that restriction.
-    Ring homomorphism in either mode.
-    """
-    terms: dict[TermKey, Coefficient] = {}
-    for (A, m), c in f.terms.items():
-        pair = sum(a * b for a, b in zip(normal, m))
-        if pair < 0 and not group_level:
-            raise InadmissibleExponent(
-                f"monomial z^{list(m)} pairs to {pair} < 0 with the conormal")
-        newA = tuple(a + pair * k for a, k in zip(A, kink))
-        if f.trunc.in_ideal(newA):
-            continue
-        key = (newA, mat_vec(matrix, m))
-        terms[key] = terms.get(key, 0) + c
-    return RingElement(terms, target_cone, f.trunc, f.n)
 
 
 # -- stalkwise admissibility -------------------------------------------------

@@ -15,7 +15,7 @@ import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Mapping, Sequence
 
 from . import linalg, ring
@@ -57,15 +57,15 @@ class Wall:
 
     @cached_property
     def normal(self) -> tuple[int, ...]:
-        """A primitive integer conormal of the support's hyperplane."""
-        basis = linalg.nullspace([list(g) for g in self.support])
-        # the support has dim n-1 so the conormal line is 1-dimensional;
-        # nullspace of the generator matrix read as rows gives row-space
-        # annihilators, i.e. conormals
+        """The primitive integer conormal of the support's hyperplane: the
+        saturated integer kernel of the support rows, with its last nonzero
+        coordinate positive, so that it depends on the hyperplane alone."""
+        basis = kernel_basis(IntegerMatrix.from_rows(self.support))
         if len(basis) != 1:
             raise WallError("support does not span a hyperplane")
-        denom = lcm(*(x.denominator for x in basis[0]))
-        return primitive([int(x * denom) for x in basis[0]])
+        [v] = basis
+        return v if next(x for x in reversed(v) if x) > 0 \
+            else tuple(-x for x in v)
 
     def contains_point(self, coords: Sequence[Fraction]) -> tuple | None:
         """Barycentric coordinates of the point on the wall, or None."""
@@ -143,23 +143,21 @@ class WallStructure:
         # meaningful as a point map
         if x.coords[c.pos] != 0:
             return None
-        return linalg.mat_vec(c.matrix, x.coords)
+        return c.vector(x.coords)
 
     def f_at(self, x: PointInChart) -> RingElement:
         """Product of the functions of all walls through x (in x's chart)."""
         hits = self.walls_through(x)
         result = RingElement.one(tuple(x.cone), self.trunc, self.complex.n)
-        seen_spans = []
+        normals = set()
         for w, bary in hits:
             if any(b == 0 for b in bary):
                 raise SingularPoint(
                     f"{x} lies on the boundary of a wall support")
-            span = _span_key(w.support)
-            for s in seen_spans:
-                if s != span:
-                    raise SingularPoint(
-                        f"{x} lies on two transversal walls")
-            seen_spans.append(span)
+            # the sign rule makes equal-up-to-sign normals equal
+            normals.add(w.normal)
+            if len(normals) > 1:
+                raise SingularPoint(f"{x} lies on two transversal walls")
             result = result.mul(self.complex.transport_element(
                 w.function, w.cone, tuple(x.cone)))
         return result
@@ -193,12 +191,6 @@ class WallStructure:
         return cls(complex=cx, trunc=trunc, walls=tuple(walls),
                    dropped_trivial=ring.integer(
                        data.get("dropped_trivial", 0)))
-
-
-def _span_key(support):
-    rows = [[Fraction(x) for x in g] for g in support]
-    red, _ = linalg._rref(rows)
-    return tuple(tuple(r) for r in red if any(x != 0 for x in r))
 
 
 # -- assembly ----------------------------------------------------------------
@@ -583,17 +575,6 @@ class SlabRingElement:
                  coeff=1) -> "SlabRingElement":
         key = (tuple(A), tuple(m_rho), int(z_plus), int(z_minus))
         return cls(slab, {key: Fraction(coeff)}, trunc)
-
-    def add(self, other: "SlabRingElement") -> "SlabRingElement":
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            terms[k] = terms.get(k, Fraction(0)) + c
-        return SlabRingElement(self.slab, terms, self.trunc)
-
-    def scale(self, c) -> "SlabRingElement":
-        c = Fraction(c)
-        return SlabRingElement(
-            self.slab, {k: v * c for k, v in self.terms.items()}, self.trunc)
 
     def mul(self, other: "SlabRingElement") -> "SlabRingElement":
         terms: dict[tuple, Fraction] = {}

@@ -12,7 +12,7 @@ from math import comb
 
 import pytest
 
-from wallcross import broken, geometry, linalg, ring
+from wallcross import broken, geometry, linalg, ring, walls
 from wallcross.broken import (
     alpha_trop,
     chambers_containing,
@@ -544,18 +544,18 @@ def test_wall_data_is_derived_once_per_structure(monkeypatch):
     """Repeated structure constants on one structure take one logarithm
     per (wall, chart) and one conormal per wall."""
     logs, kernels = [], []
-    log_unipotent, nullspace = ring.log_unipotent, linalg.nullspace
+    log_unipotent, kernel_basis = ring.log_unipotent, walls.kernel_basis
 
     def counting_log(f):
         logs.append(f.cone)
         return log_unipotent(f)
 
-    def counting_nullspace(*args, **kwargs):
+    def counting_kernel(*args, **kwargs):
         kernels.append(args)
-        return nullspace(*args, **kwargs)
+        return kernel_basis(*args, **kwargs)
 
     monkeypatch.setattr(ring, "log_unipotent", counting_log)
-    monkeypatch.setattr(linalg, "nullspace", counting_nullspace)
+    monkeypatch.setattr(walls, "kernel_basis", counting_kernel)
     s = quadrant(bound=3)
     for p1, p2, r in [((1, 0), (0, 1), (1, 1)), ((1, 0), (1, 0), (2, 0)),
                       ((0, 1), (1, 0), (1, 1)), ((2, 0), (0, 1), (1, 0))]:

@@ -207,6 +207,21 @@ def test_unparsable_input_is_usage_error(bundle, capsys, argv):
     assert json.loads(err)["schema"] == "wallcross/1"
 
 
+@pytest.mark.parametrize("rank, message", [
+    (0.5, "non-integral entry 0.5"),
+    ("0", "non-integer entry '0'"),
+    (True, "non-integer entry True"),
+    (-1, "invariant_rank must be >= 0, got -1"),
+], ids=["non-integral", "string", "bool", "negative"])
+def test_malformed_invariant_rank_is_usage_error(bundle, capsys, rank,
+                                                 message):
+    argv = _edited_instance(bundle, lambda d: d.update(invariant_rank=rank))
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"schema": "wallcross/1",
+                               "error": "ValueError", "message": message}
+
+
 # -- wall assembly ------------------------------------------------------------
 
 def test_walls_assembles_and_round_trips(capsys, tmp_path):

@@ -35,6 +35,7 @@ from wallcross.errors import (
     ConsistencyError,
     InadmissibleWallDirection,
     NonConvergent,
+    UnsupportedDimension,
 )
 from wallcross.geometry import DivisorTable, build_complex
 from wallcross.ring import RingElement, Truncation
@@ -508,9 +509,8 @@ def test_localize_interior_joint_full_plane_consistent():
     cx = threefold()
     s = WallStructure(complex=cx, trunc=t3(), walls=tuple(
         plane_wall_pair(cx, t3())))
-    loc = localize_at_joint(s, ((0, 1, 2), (1, 1, 1)))
-    assert not loc.global_dispatch
-    inst = loc.instance
+    inst = localize_at_joint(s, ((0, 1, 2), (1, 1, 1)))
+    assert isinstance(inst, LocalInstance)
     assert inst.invariant_rank == 1
     assert len(inst.rays) == 2
     dirs = sorted(r.direction for r in inst.rays)
@@ -528,11 +528,30 @@ def test_localize_half_plane_inconsistent():
     assert report.witness is not None
 
 
-def test_apex_of_threefold_dispatches():
-    cx = threefold()
-    s = WallStructure(complex=cx, trunc=t3(), walls=())
-    loc = localize_at_joint(s, "apex")
-    assert loc.global_dispatch
+def test_apex_of_threefold_dispatches(monkeypatch):
+    """``check_joint`` sends the apex, under each of its names, to the
+    global patching check and never localizes it."""
+    s = WallStructure(complex=threefold(), trunc=t3(), walls=())
+    checked = []
+
+    def patching(structure, p_set=None, seed=0):
+        checked.append(structure)
+        return consistency.PatchingReport(passed=True, items=())
+
+    def localize(*_args):
+        raise AssertionError("the apex has no planar localization")
+
+    monkeypatch.setattr(consistency, "patching_check", patching)
+    monkeypatch.setattr(consistency, "localize_at_joint", localize)
+    for joint in ("apex", None, (0, 0, 0)):
+        report = check_joint(s, joint)
+        assert (report.joint, report.codim, report.verdict) == \
+            ("apex", 2, "pass")
+    assert len(checked) == 3 and all(c is s for c in checked)
+    monkeypatch.undo()
+    # the real patching check needs a surface
+    with pytest.raises(UnsupportedDimension):
+        check_joint(s, "apex")
 
 
 def test_boundary_joint_detected_and_tangency_checked():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import random
 from fractions import Fraction
 
 import pytest
@@ -30,6 +31,7 @@ from wallcross.geometry import (
     geometry_to_json,
     load_geometry,
 )
+from wallcross.ring import RingElement, Truncation
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -95,22 +97,24 @@ def quadrant_pair(number, kink=(1,)):
 
 def test_transition_identity_on_same_cone():
     cx = quadrant_pair(0)
-    m, kink = cx.chart_transition((0, 1), (0, 1))
-    assert m == ((1, 0), (0, 1))
-    assert kink == (0,)
+    trunc = Truncation.degree(1, 3)
+    f = RingElement.one((0, 1), trunc, 2).add(
+        RingElement.monomial((1,), (1, -1), 3, (0, 1), trunc))
+    assert cx.transport_element(f, (0, 1), (0, 1)) is f
+    assert cx.loop_matrix([(0, 1)]) == ((1, 0), (0, 1))
 
 
 def test_transition_zero_number_flips():
     cx = quadrant_pair(0)
-    m, kink = cx.chart_transition((0, 1), (0, 2))
+    c = cx.crossing_to((0, 1), (0, 2))
     # shared ray fixed, leftover ray reverses
-    assert m == ((1, 0), (0, -1))
-    assert kink == (1,)
+    assert c.matrix == ((1, 0), (0, -1))
+    assert c.kink == (1,)
 
 
 def test_transition_hirzebruch_number():
     cx = quadrant_pair(-1)
-    m, _ = cx.chart_transition((0, 1), (0, 2))
+    m = cx.crossing_to((0, 1), (0, 2)).matrix
     # image of e2 is -e2' + e1'
     col = (m[0][1], m[1][1])
     assert col == (1, -1)
@@ -118,8 +122,8 @@ def test_transition_hirzebruch_number():
 
 def test_transition_round_trip_inverse():
     cx = quadrant_pair(-2)
-    m12, _ = cx.chart_transition((0, 1), (0, 2))
-    m21, _ = cx.chart_transition((0, 2), (0, 1))
+    m12 = cx.crossing_to((0, 1), (0, 2)).matrix
+    m21 = cx.crossing_to((0, 2), (0, 1)).matrix
     prod = tuple(tuple(sum(m12[i][k] * m21[k][j] for k in range(2))
                        for j in range(2)) for i in range(2))
     assert prod == ((1, 0), (0, 1))
@@ -128,7 +132,7 @@ def test_transition_round_trip_inverse():
 def test_not_adjacent():
     cx = fan_2d(4, intersections={(i,): (0,) for i in range(4)})
     with pytest.raises(NotAdjacent):
-        cx.chart_transition((0, 1), (2, 3))
+        cx.crossing_to((0, 1), (2, 3))
 
 
 def test_crossing_table_of_a_quadrant_pair():
@@ -141,6 +145,61 @@ def test_crossing_table_of_a_quadrant_pair():
     assert cx.cell_of((0, 2), (0, 0)) == ()
 
 
+# F_1: rays (1,0), (0,1), (-1,1), (0,-1) with self-intersections 0, -1, 0, 1
+HIRZEBRUCH_RAYS = ((1, 0), (0, 1), (-1, 1), (0, -1))
+
+
+def hirzebruch():
+    """The fan of the Hirzebruch surface F_1, each ray kinked by its own
+    unit class."""
+    return fan_2d(4, curve_rank=4,
+                  intersections={(i,): (k,)
+                                 for i, k in enumerate((0, -1, 0, 1))},
+                  kinks={(i,): tuple(int(j == i) for j in range(4))
+                         for i in range(4)})
+
+
+def _in_the_plane(cone, v):
+    return tuple(sum(x * HIRZEBRUCH_RAYS[d][i] for d, x in zip(cone, v))
+                 for i in range(2))
+
+
+def test_hirzebruch_crossings_agree_with_the_fan():
+    """A chart writes a vector in its cone's rays: crossing a facet changes
+    the basis and leaves the vector of the plane where it is, and bends a
+    class by the exponent's coefficient on the ray off the facet."""
+    cx = hirzebruch()
+    loop = [(0, 1), (1, 2), (2, 3), (0, 3), (0, 1)]
+    assert cx.loop_matrix(loop) == ((1, 0), (0, 1))   # a complete fan
+    for sigma in cx.maximal_cones:
+        for c in cx.crossings(sigma).values():
+            for m in [(1, 0), (0, 1), (2, -3), (-5, 4)]:
+                assert _in_the_plane(c.target, c.vector(m)) == \
+                    _in_the_plane(sigma, m)
+                A, m2 = c.monomial((3, 0, 1, 2), m)
+                assert m2 == c.vector(m)
+                bent = [3, 0, 1, 2]
+                bent[c.rho[0]] += m[c.pos]
+                assert A == tuple(bent)
+
+
+@pytest.mark.parametrize("which", ["hirzebruch", "blowup"])
+def test_crossing_monomial_round_trip(which, blowup):
+    """Crossing a facet and back gives every monomial back, its class
+    included, however the exponent pairs with the conormal."""
+    cx = hirzebruch() if which == "hirzebruch" else blowup
+    rng = random.Random(11)
+    for sigma in cx.maximal_cones:
+        for c in cx.crossings(sigma).values():
+            back = cx.crossing_to(c.target, sigma)
+            assert back.rho == c.rho
+            for _ in range(20):
+                A = tuple(rng.randint(0, 4) for _ in range(cx.curve_rank))
+                m = tuple(rng.randint(-5, 5) for _ in range(cx.n))
+                assert back.monomial(*c.monomial(A, m)) == (A, m)
+                assert back.vector(c.vector(m)) == m
+
+
 def test_facet_numbers_must_match_its_rays():
     with pytest.raises(GeometryError):
         build_complex(simple_divisors(3), [(0, 1), (0, 2)],
@@ -151,8 +210,8 @@ def test_facet_numbers_must_match_its_rays():
 @given(st.integers(-4, 4))
 def test_property_transitions_mutually_inverse(number):
     cx = quadrant_pair(number)
-    m12, _ = cx.chart_transition((0, 1), (0, 2))
-    m21, _ = cx.chart_transition((0, 2), (0, 1))
+    m12 = cx.crossing_to((0, 1), (0, 2)).matrix
+    m21 = cx.crossing_to((0, 2), (0, 1)).matrix
     prod = [[sum(m12[i][k] * m21[k][j] for k in range(2)) for j in range(2)]
             for i in range(2)]
     assert prod == [[1, 0], [0, 1]]
@@ -202,7 +261,7 @@ def test_unsorted_facet_keeps_its_numbers_with_its_rays(blowup):
     listed as (1, 0) with its numbers in the same order is the same data,
     from JSON and from a mapping alike."""
     s1, s2 = blowup.max_cones_containing((0, 1))
-    assert blowup.chart_transition(s1, s2)[0] == \
+    assert blowup.crossing_to(s1, s2).matrix == \
         ((1, 0, 0), (0, 1, 1), (0, 0, -1))
     data = geometry_to_json(blowup)
     [entry] = [e for e in data["intersections"] if e["rho"] == [0, 1]]
@@ -215,7 +274,7 @@ def test_unsorted_facet_keeps_its_numbers_with_its_rays(blowup):
                           blowup.kinks, relative=blowup.relative,
                           curve_rank=blowup.curve_rank, n=blowup.n)
     assert again == blowup
-    assert again.chart_transition(s1, s2)[0] == \
+    assert again.crossing_to(s1, s2).matrix == \
         ((1, 0, 0), (0, 1, 1), (0, 0, -1))
 
 

@@ -215,3 +215,45 @@ def test_no_orphaned_members():
         with open(path) as fh:
             sources.append(fh.read())
     assert orphaned_members(classes, sources) == []
+
+
+def unraised_errors(errors_source: str, sources: list[str]) -> list[str]:
+    """Classes of ``errors_source`` that no class there derives from and
+    that no ``raise`` statement of ``sources`` names.  Test modules import
+    error classes to catch them, so the orphan check cannot see these."""
+    classes = [node for node in ast.parse(errors_source).body
+               if isinstance(node, ast.ClassDef)]
+    bases = {base.id for node in classes for base in node.bases
+             if isinstance(base, ast.Name)}
+    raised = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) \
+                    else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+                elif isinstance(exc, ast.Attribute):
+                    raised.add(exc.attr)
+    return sorted(node.name for node in classes
+                  if node.name not in bases and node.name not in raised)
+
+
+def test_detector_flags_an_unraised_error():
+    errors = ("class Base(Exception):\n    pass\n\n"
+              "class Raised(Base):\n    pass\n\n"
+              "class Caught(Base):\n    pass\n\n"
+              "class Qualified(Base):\n    pass\n")
+    module = ("def f(x):\n    if x:\n        raise Raised('x')\n"
+              "    try:\n        g()\n    except Caught:\n        pass\n"
+              "    raise errors.Qualified from None\n")
+    assert unraised_errors(errors, [module]) == ["Caught"]
+
+
+def test_every_leaf_error_is_raised():
+    sources = {}
+    for module in MODULES:
+        with open(os.path.join(PACKAGE, module)) as fh:
+            sources[module] = fh.read()
+    assert unraised_errors(sources.pop("errors.py"),
+                           list(sources.values())) == []

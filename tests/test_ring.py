@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from wallcross.errors import (
     ConeMismatch,
-    InadmissibleExponent,
     NonNilpotentArgument,
     NotUnipotent,
     TruncationError,
@@ -25,9 +24,8 @@ from wallcross.ring import (
     exp_truncated,
     invert,
     log_unipotent,
-    multiply,
-    transport,
 )
+from wallcross.geometry import DivisorTable, build_complex
 from wallcross.walls import apply_theta
 
 T3 = Truncation.degree(curve_rank=1, bound=3)
@@ -67,7 +65,7 @@ def test_truncation_rejects_infinite_complement():
 
 def test_multiply_unit():
     f = one().add(mono((1,), (1, 0)))
-    assert multiply(f, one()) == f
+    assert f.mul(one()) == f
 
 
 def test_multiply_difference_of_squares_truncates():
@@ -76,21 +74,21 @@ def test_multiply_difference_of_squares_truncates():
     u = (1, 0)
     f = RingElement.one(CONE, t1, 2).add(mono((1,), u, 1, t1))
     g = RingElement.one(CONE, t1, 2).add(mono((1,), u, -1, t1))
-    assert multiply(f, g) == RingElement.one(CONE, t1, 2)
+    assert f.mul(g) == RingElement.one(CONE, t1, 2)
     # with cutoff 2 the square term survives
     f2 = one(T2).add(mono((1,), u, 1, T2))
     g2 = one(T2).add(mono((1,), u, -1, T2))
-    assert multiply(f2, g2) == one(T2).add(mono((2,), (2, 0), -1, T2))
+    assert f2.mul(g2) == one(T2).add(mono((2,), (2, 0), -1, T2))
 
 
 def test_exponents_add():
-    assert multiply(mono((0,), (1, 2)), mono((0,), (3, -1))) == \
+    assert mono((0,), (1, 2)).mul(mono((0,), (3, -1))) == \
         mono((0,), (4, 1))
 
 
 def test_cone_mismatch_raises():
     with pytest.raises(ConeMismatch):
-        multiply(mono((0,), (1, 0)), mono((0,), (1, 0), cone="other"))
+        mono((0,), (1, 0)).mul(mono((0,), (1, 0), cone="other"))
 
 
 # -- exp / invert ------------------------------------------------------------
@@ -176,43 +174,56 @@ def test_log_requires_unipotent():
 
 # -- transport ---------------------------------------------------------------
 
-IDENT = ((1, 0), (0, 1))
-FLIP = ((1, 0), (0, -1))  # chart transition fixing the shared ray
+SRC, DST = (0, 1), (0, 2)
+
+
+def flip_pair(kink=(1,)):
+    """Two quadrants glued along ray 0 with intersection number 0: crossing
+    from SRC to DST fixes the shared ray, reverses the other, and bends a
+    class by ``kink`` per unit of pairing with the conormal (0, 1)."""
+    return build_complex(
+        DivisorTable(names=("D0", "D1", "D2"), a_coeffs=(0, 0, 0)),
+        [SRC, DST], intersections={(0,): (0,)}, kinks={(0,): kink},
+        curve_rank=len(kink))
 
 
 def test_transport_tangent_exponent_keeps_class():
-    f = mono((1,), (2, 0))
-    got = transport(f, FLIP, normal=(0, 1), kink=(1,), target_cone="sigma2")
-    assert got == mono((1,), (2, 0), cone="sigma2")
+    f = mono((1,), (2, 0), cone=SRC)
+    got = flip_pair().transport_element(f, SRC, DST)
+    assert got == mono((1,), (2, 0), cone=DST)
 
 
 def test_transport_picks_up_kink():
-    f = mono((0,), (1, 1))  # pairing with (0,1) is 1
-    got = transport(f, FLIP, normal=(0, 1), kink=(2,), target_cone="sigma2")
-    assert got == mono((2,), (1, -1), cone="sigma2")
-
-
-def test_transport_monoid_level_rejects_negative_pairing():
-    with pytest.raises(InadmissibleExponent):
-        transport(mono((0,), (0, -1)), FLIP, normal=(0, 1), kink=(1,),
-                  target_cone="sigma2")
+    f = mono((0,), (1, 1), cone=SRC)  # pairing with (0,1) is 1
+    got = flip_pair((2,)).transport_element(f, SRC, DST)
+    assert got == mono((2,), (1, -1), cone=DST)
 
 
 def test_transport_round_trip_group_level():
-    f = one().add(mono((1,), (1, -2)))
-    fwd = transport(f, FLIP, normal=(0, 1), kink=(1,), target_cone="s2",
-                    group_level=True)
-    back = transport(fwd, FLIP, normal=(0, 1), kink=(1,), target_cone=CONE,
-                     group_level=True)
-    assert back == f
+    # the exponent pairs to -2 with the conormal: the class goes negative
+    f = one(cone=SRC).add(mono((1,), (1, -2), cone=SRC))
+    cx = flip_pair()
+    fwd = cx.transport_element(f, SRC, DST)
+    assert fwd == one(cone=DST).add(mono((-1,), (1, 2), cone=DST))
+    assert cx.transport_element(fwd, DST, SRC) == f
 
 
 def test_transport_is_ring_homomorphism():
-    f = one().add(mono((1,), (1, 1)))
-    g = one().add(mono((1,), (2, 0), Fraction(1, 2)))
-    kw = dict(normal=(0, 1), kink=(1,), target_cone="s2", group_level=True)
-    assert transport(multiply(f, g), FLIP, **kw) == \
-        multiply(transport(f, FLIP, **kw), transport(g, FLIP, **kw))
+    f = one(cone=SRC).add(mono((1,), (1, 1), cone=SRC))
+    g = one(cone=SRC).add(mono((1,), (2, 0), Fraction(1, 2), cone=SRC))
+    cx = flip_pair()
+
+    def move(e):
+        return cx.transport_element(e, SRC, DST)
+
+    assert move(f.mul(g)) == move(f).mul(move(g))
+
+
+def test_transport_drops_classes_in_the_ideal():
+    # t z^(0,1) pairs to 1: its class 1 + 3 is past the bound 3
+    f = one(cone=SRC).add(mono((1,), (0, 1), cone=SRC))
+    got = flip_pair((3,)).transport_element(f, SRC, DST)
+    assert got == one(cone=DST)
 
 
 # -- admissibility -----------------------------------------------------------
@@ -267,9 +278,9 @@ elem_strategy = st.lists(term_strategy, max_size=4).map(build)
 @settings(max_examples=80, deadline=None)
 @given(elem_strategy, elem_strategy, elem_strategy)
 def test_property_ring_laws(f, g, h):
-    assert multiply(f, g) == multiply(g, f)
-    assert multiply(multiply(f, g), h) == multiply(f, multiply(g, h))
-    assert multiply(f, g.add(h)) == multiply(f, g).add(multiply(f, h))
+    assert f.mul(g) == g.mul(f)
+    assert f.mul(g).mul(h) == f.mul(g.mul(h))
+    assert f.mul(g.add(h)) == f.mul(g).add(f.mul(h))
 
 
 # Every stored coefficient is an int (never a bool) or a Fraction with
@@ -322,8 +333,7 @@ def test_property_coefficients_stay_in_stored_form(trunc, f_terms, g_terms,
         f, g, f.add(g), f.sub(g), f.sub(f), f.scale(c), f.mul(g), f.mul(u),
         f.mul(f), u.pow_int(-1), u.pow_int(-2), u.pow_int(3), f.pow_int(2),
         exp_truncated(g), log_unipotent(u), invert(u),
-        transport(f, FLIP, normal=(0, 1), kink=(1, 0), target_cone="s2",
-                  group_level=True),
+        flip_pair((1, 0)).transport_element(f, SRC, DST),
         apply_theta(wall, (1, -1), f), apply_theta(wall, (-2, 1), u),
         RingElement.from_json(f.to_json(), CONE, trunc, 2),
     ]
@@ -344,7 +354,7 @@ nilpotent_strategy = st.lists(
 @given(nilpotent_strategy, nilpotent_strategy)
 def test_property_exp_additivity(a, b):
     assert exp_truncated(a.add(b)) == \
-        multiply(exp_truncated(a), exp_truncated(b))
+        exp_truncated(a).mul(exp_truncated(b))
 
 
 @settings(max_examples=60, deadline=None)
@@ -352,7 +362,7 @@ def test_property_exp_additivity(a, b):
 def test_property_invert_involution(g):
     f = RingElement.one(CONE, T3, 2).add(g)
     assert invert(invert(f)) == f
-    assert multiply(f, invert(f)) == RingElement.one(CONE, T3, 2)
+    assert f.mul(invert(f)) == RingElement.one(CONE, T3, 2)
 
 
 @settings(max_examples=60, deadline=None)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import random
 from fractions import Fraction
 
 import pytest
@@ -402,14 +403,50 @@ def test_blowup_five_walls_assemble_and_grade():
 
 # -- wall conormals ----------------------------------------------------------
 
-def _minors(support):
-    """The maximal minors of the support: the rotated generator in
-    dimension two, the cross product in dimension three."""
-    if len(support) == 1:
-        (a, b), = support
-        return (-b, a)
-    (a1, a2, a3), (b1, b2, b3) = support
-    return (a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)
+def _laplace_det(rows):
+    if not rows:
+        return 1
+    return sum((-1) ** j * x * _laplace_det([r[:j] + r[j + 1:]
+                                             for r in rows[1:]])
+               for j, x in enumerate(rows[0]) if x)
+
+
+def _signed_cross_product(rows):
+    """The conormal of n-1 vectors of Z^n by signed maximal minors, made
+    primitive with its last nonzero coordinate positive."""
+    c = [(-1) ** i * _laplace_det([r[:i] + r[i + 1:] for r in rows])
+         for i in range(len(rows[0]))]
+    g = math.gcd(*c)
+    if g == 0:
+        return None
+    if next(x for x in reversed(c) if x) < 0:
+        g = -g
+    return tuple(x // g for x in c)
+
+
+def test_normal_is_the_signed_primitive_cross_product():
+    """Seeded supports in dimensions two and three, some with an extra
+    generator in their span: the normal is the signed cross product of
+    independent generators, sign included."""
+    rng = random.Random(301)
+    checked = 0
+    for n in (2, 3):
+        for trial in range(400):
+            rows = [[rng.randint(-6, 6) for _ in range(n)]
+                    for _ in range(n - 1)]
+            oracle = _signed_cross_product(rows)
+            if oracle is None:
+                continue
+            if trial % 3 == 0:   # n generators of rank n - 1
+                a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+                rows.append([a * x + b * y
+                             for x, y in zip(rows[0], rows[-1])])
+            cone = tuple(range(n))
+            wall = Wall(cone=cone, support=tuple(map(tuple, rows)),
+                        function=RingElement.one(cone, T2, n))
+            assert wall.normal == oracle, rows
+            checked += 1
+    assert checked > 600
 
 
 _entry = st.integers(min_value=-9, max_value=9)
@@ -421,10 +458,8 @@ _entry = st.integers(min_value=-9, max_value=9)
     st.tuples(st.tuples(_entry, _entry, _entry),
               st.tuples(_entry, _entry, _entry))))
 def test_normal_matches_minors(support):
-    minors = _minors(support)
-    assume(any(minors))  # the support spans a hyperplane
-    g = math.gcd(*minors)
-    oracle = tuple(x // g for x in minors)
+    oracle = _signed_cross_product([list(g) for g in support])
+    assume(oracle is not None)  # the support spans a hyperplane
     n = len(support[0])
     cone = tuple(range(n))
     wall = Wall(cone=cone, support=support,
@@ -432,4 +467,4 @@ def test_normal_matches_minors(support):
     normal = wall.normal
     assert math.gcd(*normal) == 1
     assert all(sum(a * b for a, b in zip(normal, g)) == 0 for g in support)
-    assert normal in (oracle, tuple(-x for x in oracle))
+    assert normal == oracle

@@ -189,9 +189,20 @@ def _bends(f, pairing, A, m, logs):
 def _kept(s: WallStructure, key, compute):
     """``compute()``, computed once per structure and key.
 
-    The store lives on the frozen structure, so ``replace`` and
-    ``with_walls`` start an empty one; an error raised by ``compute`` is
-    not kept.
+    The keys kept are
+
+    - ``("candidates", p chart, p)``: an asymptotic's candidate monomials;
+    - ``("hyperplanes", chart, candidates)``: the lines through the origin
+      that a generic endpoint avoids;
+    - ``("lines", p chart, p, x, decorated)``: a line family, as a tuple;
+    - ``("sample", chamber, candidates, seed)``: a chamber's sample point;
+    - ``("containing", r chart, r)``: the chambers holding r, as a tuple.
+
+    A check that guards a key (the endpoint genericity of a line family)
+    runs inside ``compute``, so only when the key is computed: the key
+    fixes what the check reads.  The store lives on the frozen structure,
+    so ``replace`` and ``with_walls`` start an empty one; an error raised
+    by ``compute`` is not kept, so it is raised again on every call.
     """
     store = s._line_data
     if key not in store:
@@ -243,17 +254,23 @@ def genericity_hyperplanes(s: WallStructure, chart, candidates):
 
 def _ensure_generic(s: WallStructure, x: PointInChart, candidates,
                     seed: int = 0):
-    if any(c <= 0 for c in x.coords):
+    """Raise ``NonGenericEndpoint`` unless x is in the open cone and off
+    every genericity hyperplane, tested on the integer multiple
+    lcm(denominators)·x."""
+    scale = math.lcm(*(c.denominator for c in x.coords))
+    xs = [c.numerator * (scale // c.denominator) for c in x.coords]
+    if any(c <= 0 for c in xs):
         raise NonGenericEndpoint(
-            "endpoint must lie in the open chamber interior")
+            f"endpoint in chart {x.cone} must lie in the open chamber "
+            "interior")
     hps = genericity_hyperplanes(s, x.cone, candidates)
     for h in hps:
-        if _dot(h, x.coords) == 0:
+        if _dot(h, xs) == 0:
             sampler = GenericPointSampler(seed)
             suggestion = sampler.sample(x.cone, len(x.coords), hps,
                                         base=x.coords)
             raise NonGenericEndpoint(
-                f"endpoint lies on the hyperplane {h}",
+                f"endpoint in chart {x.cone} lies on the hyperplane {h}",
                 hyperplane=h, suggestion=suggestion)
 
 
@@ -427,10 +444,12 @@ def _lines(s: WallStructure, asymptotic, x: PointInChart, decorated, seed):
     if any(c < 0 for c in p_vec):
         raise BrokenLineError(
             "the asymptotic exponent must lie in its chart cone")
-    _ensure_generic(s, x, candidates, seed=seed)
-    return list(_kept(
-        s, ("lines", p_cone, p_vec, x, decorated),
-        lambda: _trace_family(s, asymptotic, x, decorated)))
+
+    def compute():
+        _ensure_generic(s, x, candidates, seed=seed)
+        return _trace_family(s, asymptotic, x, decorated)
+
+    return list(_kept(s, ("lines", p_cone, p_vec, x, decorated), compute))
 
 
 def _trace_family(s: WallStructure, asymptotic, x: PointInChart, decorated):
@@ -491,18 +510,25 @@ class AlphaResult:
 
 
 def chambers_containing(s: WallStructure, r_cone, r):
-    """The chambers of chart ``r_cone`` whose closed cone holds r.
+    """The chambers of chart ``r_cone`` whose closed cone holds r, found
+    once per structure, chart and r.
 
     By Cramer's rule r = a·lower + b·upper with a = det(r, upper)/D and
     b = det(lower, r)/D, where D = det(lower, upper).
     """
-    out = []
-    for ch in s.chambers:
-        if tuple(ch.cone) == tuple(r_cone):
-            D = det((ch.lower, ch.upper))
-            if det((r, ch.upper)) * D >= 0 and det((ch.lower, r)) * D >= 0:
-                out.append(ch)
-    return out
+    r_cone, r = tuple(r_cone), tuple(r)
+
+    def compute():
+        out = []
+        for ch in s.chambers:
+            if tuple(ch.cone) == r_cone:
+                D = det((ch.lower, ch.upper))
+                if det((r, ch.upper)) * D >= 0 and \
+                        det((ch.lower, r)) * D >= 0:
+                    out.append(ch)
+        return tuple(out)
+
+    return list(_kept(s, ("containing", r_cone, r), compute))
 
 
 def _sample_in_chamber(s, ch: Chamber, cands: frozenset, seed):
@@ -512,18 +538,22 @@ def _sample_in_chamber(s, ch: Chamber, cands: frozenset, seed):
 
 
 def _draw_in_chamber(s, ch: Chamber, cands, seed):
+    """(n1/997)·lower + (n2/1009)·upper for seeded n1, n2, tested on its
+    integer numerators n1·1009·lower + n2·997·upper."""
     rng = random.Random(seed)
     hps = genericity_hyperplanes(s, tuple(ch.cone), cands)
     for _ in range(128):
-        l1 = Fraction(rng.randint(1, 996), 997)
-        l2 = Fraction(rng.randint(1, 1008), 1009)
-        coords = tuple(l1 * a + l2 * b
-                       for a, b in zip(ch.lower, ch.upper))
-        if all(c > 0 for c in coords) and all(_dot(h, coords) != 0
-                                              for h in hps):
-            return PointInChart(cone=tuple(ch.cone), coords=coords,
-                                ambient=True)
-    raise NonGenericEndpoint("no generic point found in the chamber")
+        n1 = 1009 * rng.randint(1, 996)
+        n2 = 997 * rng.randint(1, 1008)
+        nums = [n1 * a + n2 * b for a, b in zip(ch.lower, ch.upper)]
+        if all(c > 0 for c in nums) and all(_dot(h, nums) != 0
+                                            for h in hps):
+            return PointInChart(cone=tuple(ch.cone), ambient=True,
+                                coords=tuple(Fraction(c, 997 * 1009)
+                                             for c in nums))
+    raise NonGenericEndpoint(
+        f"no generic point found in the chamber {ch.lower}, {ch.upper} "
+        f"of chart {tuple(ch.cone)}")
 
 
 def alpha_trop(s: WallStructure, p1, p2, r, seed: int = 0,

@@ -179,15 +179,19 @@ class WallStructure:
     @classmethod
     def from_json(cls, data: Mapping, cx: ConeComplex,
                   trunc: Truncation) -> "WallStructure":
+        """The structure ``to_json`` wrote; every wall must pass
+        ``check_wall``."""
         walls = []
         for item in data["walls"]:
             cone = tuple(item["max_cone"])
             f = RingElement.from_json(item["function"], cone, trunc, cx.n)
             rho = tuple(item["rho"]) if item.get("rho") is not None else None
-            walls.append(Wall(cone=cone,
-                              support=tuple(ring.integer_vector(g)
-                                            for g in item["support"]),
-                              function=f, rho=rho))
+            wall = Wall(cone=cone,
+                        support=tuple(ring.integer_vector(g)
+                                      for g in item["support"]),
+                        function=f, rho=rho)
+            check_wall(cx, wall)
+            walls.append(wall)
         return cls(complex=cx, trunc=trunc, walls=tuple(walls),
                    dropped_trivial=ring.integer(
                        data.get("dropped_trivial", 0)))

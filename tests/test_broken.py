@@ -11,6 +11,8 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from wallcross import broken, geometry, linalg, ring, walls
 from wallcross.broken import (
@@ -649,3 +651,110 @@ def test_enumerate_lines_returns_a_fresh_list():
     lines.reverse()
     lines.pop()
     assert enumerate_lines(s, (1, 0), x) == want
+
+
+# -- endpoint genericity -----------------------------------------------------
+
+def test_line_families_are_kept_per_candidate_set():
+    """x = (2/3, 1/3) is generic for the asymptotic (1, 0) of the bound-2
+    quadrant but lies on the line y = x/2 that the monomial (-2, -1) of
+    the asymptotic (0, 1) draws: a kept family of one asymptotic does not
+    pass the endpoint for the other."""
+    s = quadrant(bound=2)
+    x = pt(Fraction(2, 3), Fraction(1, 3))
+    lines = enumerate_lines(s, (1, 0), x)
+    assert lines
+    for _ in range(2):
+        with pytest.raises(NonGenericEndpoint) as info:
+            enumerate_lines(s, (0, 1), x)
+        assert info.value.hyperplane == (1, -2)
+        assert str(info.value) == \
+            "endpoint in chart (0, 1) lies on the hyperplane (1, -2)"
+    assert enumerate_lines(s, (1, 0), x) == lines
+
+
+def _candidates(s, p):
+    """The candidate monomials of the asymptotic p, in the chart CONE."""
+    return broken._asymptotic(s, p, CONE)[2]
+
+
+def _on_a_hyperplane(hps, coords):
+    """Test-side oracle: a Fraction dot product vanishes."""
+    return any(sum(Fraction(h_i) * c for h_i, c in zip(h, coords)) == 0
+               for h in hps)
+
+
+DENOMINATORS = st.sampled_from([3, 7, 997 * 1009])
+GENERICITY_ASYMPTOTICS = [(1, 0), (0, 1), (2, 1), (1, 2), (3, 0)]
+
+
+@seed(1204_1991)
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_property_genericity_is_decided_exactly(data):
+    """On the bound-3 quadrant, an endpoint raises exactly when it lies
+    on a genericity hyperplane: points on each hyperplane through the
+    open quadrant, and points with mixed denominators that a Fraction
+    oracle finds off every hyperplane."""
+    s = quadrant(bound=3)
+    p = data.draw(st.sampled_from(GENERICITY_ASYMPTOTICS))
+    hps = broken.genericity_hyperplanes(s, CONE, _candidates(s, p))
+    through = [h for h in hps if h[0] * h[1] < 0]
+    assert through
+    for h in through:
+        t = Fraction(data.draw(st.integers(1, 10 ** 6)),
+                     data.draw(DENOMINATORS))
+        x = pt(t * abs(h[1]), t * abs(h[0]))
+        with pytest.raises(NonGenericEndpoint) as info:
+            enumerate_lines(s, p, x)
+        assert _on_a_hyperplane([info.value.hyperplane], x.coords)
+        assert f"in chart {CONE}" in str(info.value)
+    x = pt(*(Fraction(data.draw(st.integers(1, 10 ** 6)),
+                      data.draw(DENOMINATORS)) for _ in range(2)))
+    if _on_a_hyperplane(hps, x.coords):
+        with pytest.raises(NonGenericEndpoint):
+            enumerate_lines(s, p, x)
+    else:
+        assert enumerate_lines(s, p, x)
+
+
+def _cramer(ch, v):
+    """Test-side oracle: (a, b) with v = a·lower + b·upper, by Fraction
+    Cramer's rule."""
+    (l0, l1), (u0, u1) = ch.lower, ch.upper
+    d = Fraction(l0 * u1 - l1 * u0)
+    return (v[0] * u1 - v[1] * u0) / d, (l0 * v[1] - l1 * v[0]) / d
+
+
+def test_alpha_points_are_generic_and_chambers_are_kept(monkeypatch):
+    """Every reachable (p1, p2, r) of the bound-3 quadrant ends its lines
+    in the open interior of its chamber, off every hyperplane of both
+    asymptotics; the kept chambers holding r are the oracle's, and their
+    determinants are taken at the first r only."""
+    dets = []
+    det = broken.det
+    monkeypatch.setattr(broken, "det", lambda m: dets.append(m) or det(m))
+    s = quadrant(bound=3)
+    exps = [p for p in itertools.product(range(4), repeat=2)
+            if 0 < sum(p) <= 3]
+    triples = [(p1, p2, (p1[0] + p2[0] - j, p1[1] + p2[1] - j))
+               for p1 in exps for p2 in exps for j in range(4)
+               if min(p1[0] + p2[0], p1[1] + p2[1]) >= j]
+    seen = set()
+    for p1, p2, r in triples:
+        dets.clear()
+        res = alpha_trop(s, p1, p2, r)
+        assert bool(dets) == (r not in seen)
+        seen.add(r)
+        a, b = _cramer(res.chamber, res.x.coords)
+        assert a > 0 and b > 0
+        for p in (p1, p2):
+            hps = broken.genericity_hyperplanes(s, CONE, _candidates(s, p))
+            assert not _on_a_hyperplane(hps, res.x.coords)
+        want = [ch for ch in s.chambers
+                if ch.cone == CONE and min(_cramer(ch, r)) >= 0]
+        assert want[0] == res.chamber
+        dets.clear()
+        assert chambers_containing(s, CONE, r) == want
+        assert dets == []
+    assert len(triples) > 100 and len(seen) > 10

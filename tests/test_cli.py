@@ -263,6 +263,24 @@ def test_theta_below_the_wall(bundle, capsys):
     assert [tuple(i["m"]) for i in payload["theta"]] == [(1, 0)]
 
 
+def test_wall_exponent_off_its_support_is_rejected(bundle, capsys):
+    """Loaded walls are checked: the quadrant's wall term with exponent
+    (-1, 0) is not tangent to its support, the ray (1, 1)."""
+    data = json.loads(open(bundle["w"]).read())
+    [term] = [t for t in data["walls"][0]["function"] if any(t["m"])]
+    assert term["m"] == [-1, -1]
+    term["m"] = [-1, 0]
+    path = bundle["tmp"] / "walls-off-support.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "theta", "-g", bundle["g"],
+                         "-t", bundle["t"], "-w", str(path),
+                         "--p", "1,0", "--x", "1,2")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "schema": "wallcross/1", "error": "InadmissibleWallDirection",
+        "message": "exponent (-1, 0) not tangent to the wall support"}
+
+
 def test_broken_lines_decorated(bundle, capsys):
     code, out, _ = run(capsys, "broken-lines", "-g", bundle["g"],
                        "-t", bundle["t"], "-w", bundle["w"],

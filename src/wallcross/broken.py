@@ -6,6 +6,13 @@ point translated along the exponent direction, and branching inverts the
 wall-crossing transport by enumerating wall-function term choices.  Every
 nontrivial bend strictly decreases the remaining curve class, so tracing
 terminates under truncation.
+
+Tracing runs on integers: a point is a vector of integer numerators over
+one positive denominator, a crossing time is an integer fraction compared
+by cross-multiplication, and a ``Fraction`` point is built only where a
+``Bend`` stores it.  A structure constant sums the products of final
+coefficients per curve class, pairing each line with the lines of the
+complementary exponent only.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from typing import Sequence
 
 from . import ring
@@ -196,6 +204,9 @@ def _kept(s: WallStructure, key, compute):
       that a generic endpoint avoids;
     - ``("lines", p chart, p, x, decorated)``: a line family, as a tuple;
     - ``("sample", chamber, candidates, seed)``: a chamber's sample point;
+    - ``("point", chart, numerators)``: a sample point by value, so that
+      samples of one value are one object, and line-family keys holding
+      it compare by identity, not by ``Fraction`` equality;
     - ``("containing", r chart, r)``: the chambers holding r, as a tuple.
 
     A check that guards a key (the endpoint genericity of a line family)
@@ -252,13 +263,19 @@ def genericity_hyperplanes(s: WallStructure, chart, candidates):
     return _kept(s, ("hyperplanes", chart, candidates), compute)
 
 
+def _numerators(x: PointInChart):
+    """(integer numerators, denominator) of x over the lcm of its
+    coordinates' denominators."""
+    den = math.lcm(*(c.denominator for c in x.coords))
+    return tuple(c.numerator * (den // c.denominator) for c in x.coords), den
+
+
 def _ensure_generic(s: WallStructure, x: PointInChart, candidates,
                     seed: int = 0):
     """Raise ``NonGenericEndpoint`` unless x is in the open cone and off
     every genericity hyperplane, tested on the integer multiple
     lcm(denominators)·x."""
-    scale = math.lcm(*(c.denominator for c in x.coords))
-    xs = [c.numerator * (scale // c.denominator) for c in x.coords]
+    xs, _den = _numerators(x)
     if any(c <= 0 for c in xs):
         raise NonGenericEndpoint(
             f"endpoint in chart {x.cone} must lie in the open chamber "
@@ -276,18 +293,47 @@ def _ensure_generic(s: WallStructure, x: PointInChart, candidates,
 
 # -- enumeration -------------------------------------------------------------
 
-def _ray_events(s: WallStructure, chart, point, m):
-    """Wall crossings along point + t*m (t > 0) before leaving the cone.
+def _along(nums, den, m, t):
+    """The point nums/den + t·m, for t = (tn, td), as reduced (numerators,
+    denominator): (nums·td + tn·den·m) / (den·td)."""
+    tn, td = t
+    qden = den * td
+    step = tn * den
+    qnums = [a * td + step * b for a, b in zip(nums, m)]
+    g = math.gcd(qden, *qnums)
+    return tuple(a // g for a in qnums), qden // g
 
-    Returns (events, exit) where events are (t, wall index, wall, crossing
-    point) sorted by t, and exit is None or (t, coordinate position).
+
+def _holds(w: Wall, q) -> bool:
+    """Whether the surface wall w holds the point q of its support's line.
+
+    The support of a wall of a surface is one ray g, so for q on g's line
+    this is ⟨q, g⟩ ≥ 0; it reads only the sign, so q may be any positive
+    multiple of the point, such as its integer numerators.
     """
-    n = len(point)
+    return _dot(q, w.support[0]) >= 0
+
+
+def _time_order(e1, e2):
+    """Compare events (t, wall index, ...) by t, then by wall index."""
+    (tn1, td1), (tn2, td2) = e1[0], e2[0]
+    return (tn1 * td2 - tn2 * td1) or e1[1] - e2[1]
+
+
+def _ray_events(s: WallStructure, chart, nums, den, m):
+    """Wall crossings along nums/den + t·m (t > 0) before leaving the cone.
+
+    The point is integer numerators ``nums`` over one positive ``den``; a
+    time t is a pair (tn, td) with td > 0, compared by cross-multiplication.
+    Returns (events, exit) where events are (t, wall index, wall, crossing
+    point as (numerators, denominator)) sorted by (t, wall index), and exit
+    is None or (t, coordinate position).
+    """
     exit_t, exit_pos = None, None
-    for j in range(n):
-        if m[j] < 0:
-            t = Fraction(point[j], -m[j])
-            if exit_t is None or t < exit_t:
+    for j, mj in enumerate(m):
+        if mj < 0:
+            t = (nums[j], -den * mj)
+            if exit_t is None or t[0] * exit_t[1] < exit_t[0] * t[1]:
                 exit_t, exit_pos = t, j
     events = []
     for i, w in enumerate(s.walls):
@@ -297,20 +343,23 @@ def _ray_events(s: WallStructure, chart, point, m):
         pairing = _dot(d, m)
         if pairing == 0:
             continue
-        # crossing time: <d, point + t m> = 0
-        t = Fraction(-_dot(d, point), pairing)
-        if t <= 0 or (exit_t is not None and t >= exit_t):
+        # crossing time: <d, nums/den + t m> = 0
+        tn, td = -_dot(d, nums), den * pairing
+        if td < 0:
+            tn, td = -tn, -td
+        if tn <= 0 or (exit_t is not None
+                       and tn * exit_t[1] >= exit_t[0] * td):
             continue
-        q = tuple(c + t * x for c, x in zip(point, m))
-        if w.contains_point(q) is None:
-            continue
-        events.append((t, i, w, q))
-    events.sort(key=lambda ev: (ev[0], ev[1]))
+        q = _along(nums, den, m, (tn, td))
+        if _holds(w, q[0]):
+            events.append(((tn, td), i, w, q))
+    events.sort(key=cmp_to_key(_time_order))
     return events, (None if exit_t is None else (exit_t, exit_pos))
 
 
 def _slab_function(s: WallStructure, chart, rho, q):
-    """Product of slab-wall functions on rho containing q, in chart coords.
+    """Product of slab-wall functions on rho containing q, in chart coords;
+    q is the point on rho or any positive multiple of it.
 
     Returns (function or None, wall index of the first contributing slab).
     """
@@ -322,7 +371,7 @@ def _slab_function(s: WallStructure, chart, rho, q):
         q_local = q
         if w.cone != chart:
             q_local = s.complex.crossing_to(chart, w.cone).vector(q)
-        if w.contains_point(q_local) is None:
+        if not _holds(w, q_local):
             continue
         fw = s.complex.transport_element(w.function, w.cone, chart)
         f = fw if f is None else f.mul(fw)
@@ -354,32 +403,40 @@ def _same_asymptotic(cx, chart, m, p_cone, p):
     return m[c.pos] == 0 and c.vector(m) == tuple(p)
 
 
-def _trace(s, chart, point, A, m, p_cone, p, decorated, depth):
-    """The paths from the segment of class A and exponent m through
-    ``point`` back to the asymptotic exponent p of ``p_cone``.
+def _point(nums, den) -> tuple:
+    """The ``Fraction`` coordinates of the point nums/den."""
+    return tuple(Fraction(a, den) for a in nums)
 
-    Each path is a tuple of steps (trace record, bend or None, state
-    (chart, class, exponent) after the step), ordered from the endpoint
-    back.
+
+def _trace(s, chart, nums, den, A, m, p_cone, p, decorated, depth):
+    """The paths from the segment of class A and exponent m through the
+    point nums/den back to the asymptotic exponent p of ``p_cone``.
+
+    The point is integer numerators over one positive denominator, as
+    ``_ray_events`` takes it; only a ``Bend`` stores it as ``Fraction``
+    coordinates.  Each path is a tuple of steps (trace record, bend or
+    None, state (chart, class, exponent) after the step), ordered from the
+    endpoint back.
     """
     cx = s.complex
     if depth > _TRACE_LIMIT:
         raise WallError("broken-line tracing did not terminate")
     if not any(m):
         return
-    events, exit_info = _ray_events(s, chart, point, m)
+    events, exit_info = _ray_events(s, chart, nums, den, m)
     straight = tuple((("wall", chart, _cone_key(w.support), "straight"),
                       None, (chart, A, m)) for _t, _i, w, _q in events)
     # bend at event k, passing straight through the earlier ones
     for k, (_t, i, w, q) in enumerate(events):
         cell = _cone_key(w.support)
         logs = _bend_logs(s, chart, i) if decorated else None
-        for cid, A2, m2, fields in _bends(w.function, abs(_dot(w.normal, m)),
-                                          A, m, logs):
+        bends = _bends(w.function, abs(_dot(w.normal, m)), A, m, logs)
+        point = _point(*q) if bends else None
+        for cid, A2, m2, fields in bends:
             step = (("wall", chart, cell, cid),
-                    Bend(cone=chart, point=q, cell=cell, wall_index=i,
+                    Bend(cone=chart, point=point, cell=cell, wall_index=i,
                          **fields), (chart, A2, m2))
-            for rest in _trace(s, chart, q, A2, m2, p_cone, p, decorated,
+            for rest in _trace(s, chart, *q, A2, m2, p_cone, p, decorated,
                                depth + 1):
                 yield straight[:k] + (step,) + rest
     if exit_info is None:
@@ -391,22 +448,25 @@ def _trace(s, chart, point, A, m, p_cone, p, decorated, depth):
     c = cx.crossings(chart).get(pos)
     if c is None:
         return  # the ray leaves through the boundary of B
-    q = tuple(a + exit_t * x for a, x in zip(point, m))
-    f, first = _slab_function(s, chart, c.rho, q)
+    q_nums, q_den = _along(nums, den, m, exit_t)
+    f, first = _slab_function(s, chart, c.rho, q_nums)
     bends = [("straight", A, m, None)]
+    point = None
     if f is not None:
         logs = ring.log_unipotent(f).sorted_terms() if decorated else None
         bends += _bends(f, -m[pos], A, m, logs)
+        point = _point(q_nums, q_den)
+    target_nums = c.vector(q_nums)
     for cid, A2, m2, fields in bends:
         # backward transport into the neighbouring chart
         A3, m3 = c.monomial(A2, m2)
         if any(a < 0 for a in A3):
             continue
         bend = None if fields is None else Bend(
-            cone=chart, point=q, cell=c.rho, wall_index=first, on_slab=True,
-            kink_class=c.kink, **fields)
+            cone=chart, point=point, cell=c.rho, wall_index=first,
+            on_slab=True, kink_class=c.kink, **fields)
         step = (("rho", c.rho, cid), bend, (c.target, A3, m3))
-        for rest in _trace(s, c.target, c.vector(q), A3, m3,
+        for rest in _trace(s, c.target, target_nums, q_den, A3, m3,
                            p_cone, p, decorated, depth + 1):
             yield straight + (step,) + rest
 
@@ -460,13 +520,14 @@ def _trace_family(s: WallStructure, asymptotic, x: PointInChart, decorated):
     asymptotic coefficient is 1 and each bend multiplies it.
     """
     p_cone, p_vec, candidates = asymptotic
+    nums, den = _numerators(x)
     raw = []
     for final in sorted(candidates):
         chart, A, m = final
         if chart != tuple(x.cone) or not any(m):
             continue
-        for path in _trace(s, chart, tuple(Fraction(c) for c in x.coords),
-                           A, m, p_cone, p_vec, decorated, 0):
+        for path in _trace(s, chart, nums, den, A, m, p_cone, p_vec,
+                           decorated, 0):
             path = path[::-1]
             bends = tuple(b for _r, b, _st in path if b is not None)
             states = [st for _r, b, st in path if b is not None] + [final]
@@ -548,9 +609,12 @@ def _draw_in_chamber(s, ch: Chamber, cands, seed):
         nums = [n1 * a + n2 * b for a, b in zip(ch.lower, ch.upper)]
         if all(c > 0 for c in nums) and all(_dot(h, nums) != 0
                                             for h in hps):
-            return PointInChart(cone=tuple(ch.cone), ambient=True,
-                                coords=tuple(Fraction(c, 997 * 1009)
-                                             for c in nums))
+            cone = tuple(ch.cone)
+            return _kept(s, ("point", cone, tuple(nums)),
+                         lambda: PointInChart(
+                             cone=cone, ambient=True,
+                             coords=tuple(Fraction(c, 997 * 1009)
+                                          for c in nums)))
     raise NonGenericEndpoint(
         f"no generic point found in the chamber {ch.lower}, {ch.upper} "
         f"of chart {tuple(ch.cone)}")
@@ -573,16 +637,20 @@ def alpha_trop(s: WallStructure, p1, p2, r, seed: int = 0,
     asym2 = _asymptotic(s, p2, ch.cone)
     x = _sample_in_chamber(s, ch, asym1[2] | asym2[2], seed)
     lines1 = _lines(s, asym1, x, False, seed)
-    lines2 = _lines(s, asym2, x, False, seed)
-    total = RingElement.zero(tuple(ch.cone), trunc, cx.n)
-    zero_m = (0,) * cx.n
+    by_exponent = {}
+    for l2 in _lines(s, asym2, x, False, seed):
+        by_exponent.setdefault(l2.m_beta, []).append(l2)
+    # the coefficient of t^A: products over the pairs with exponent sum r
+    coeffs = {}
     for l1 in lines1:
-        for l2 in lines2:
-            if tuple(a + b for a, b in zip(l1.m_beta, l2.m_beta)) != r_vec:
-                continue
+        m2 = tuple(a - b for a, b in zip(r_vec, l1.m_beta))
+        for l2 in by_exponent.get(m2, ()):
             A = tuple(a + b for a, b in zip(l1.class_beta, l2.class_beta))
-            total = total.add(RingElement.monomial(
-                A, zero_m, l1.a_beta * l2.a_beta, tuple(ch.cone), trunc))
+            coeffs[A] = coeffs.get(A, 0) + l1.a_beta * l2.a_beta
+    zero_m = (0,) * cx.n
+    total = RingElement._make(
+        {(A, zero_m): c for A, c in coeffs.items() if not trunc.in_ideal(A)},
+        tuple(ch.cone), trunc, cx.n)
     return AlphaResult(value=total, chamber=ch, x=x)
 
 

@@ -67,7 +67,12 @@ class DivisorTable:
 
 @dataclass(frozen=True)
 class PointInChart:
-    """A rational point in the chart of a maximal cone."""
+    """A rational point in the chart of a maximal cone.
+
+    Its hash is the dataclass hash of (cone, coords, ambient), computed
+    once: points key the broken-line data kept on a wall structure, and a
+    ``Fraction`` hash costs a modular inverse.
+    """
 
     cone: ConeId
     coords: tuple[Fraction, ...]
@@ -80,6 +85,11 @@ class PointInChart:
             raise GeometryError(
                 "point coordinates must be nonnegative inside the cone "
                 "(pass ambient=True for ambient-chart points)")
+        object.__setattr__(self, "_hash",
+                           hash((self.cone, self.coords, self.ambient)))
+
+    def __hash__(self):
+        return self._hash
 
 
 def _faces(index_set: Iterable[int]) -> set[ConeId]:

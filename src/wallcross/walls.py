@@ -182,7 +182,7 @@ class WallStructure:
         """The structure ``to_json`` wrote; every wall must pass
         ``check_wall``."""
         walls = []
-        for item in data["walls"]:
+        for i, item in enumerate(data["walls"]):
             cone = tuple(item["max_cone"])
             f = RingElement.from_json(item["function"], cone, trunc, cx.n)
             rho = tuple(item["rho"]) if item.get("rho") is not None else None
@@ -190,7 +190,7 @@ class WallStructure:
                         support=tuple(ring.integer_vector(g)
                                       for g in item["support"]),
                         function=f, rho=rho)
-            check_wall(cx, wall)
+            check_wall(cx, wall, label=f"wall {i} in chart {cone}")
             walls.append(wall)
         return cls(complex=cx, trunc=trunc, walls=tuple(walls),
                    dropped_trivial=ring.integer(
@@ -210,8 +210,24 @@ def minimal_cell(cx: ConeComplex, cone: ConeId, support) -> ConeId:
 
 
 def check_wall(cx: ConeComplex, wall: Wall,
-               grading: Sequence[Sequence[int]] | None = None):
-    """Validate support dimension, tangency, admissibility and grading."""
+               grading: Sequence[Sequence[int]] | None = None,
+               label: str | None = None):
+    """Validate support dimension, tangency, admissibility and grading.
+
+    A ``WallError`` keeps its class and names the wall: its message starts
+    with ``label`` (``wall 0 in chart (0, 1)``), or else with the wall's
+    chart and support.
+    """
+    try:
+        _check_wall(cx, wall, grading)
+    except WallError as exc:
+        if label is None:
+            label = (f"wall in chart {wall.cone} with support "
+                     f"{[list(g) for g in wall.support]}")
+        raise type(exc)(f"{label}: {exc}") from exc
+
+
+def _check_wall(cx: ConeComplex, wall: Wall, grading):
     n = cx.n
     if len(wall.cone) != n or tuple(wall.cone) not in cx.cones:
         raise WallError(f"{wall.cone} is not a maximal cone")

@@ -575,11 +575,11 @@ def test_alpha_traces_each_line_family_once(monkeypatch):
     traced = Counter()
     trace = broken._trace
 
-    def counting_trace(s, chart, point, A, m, *rest):
-        *_, p_cone, p, decorated, depth = rest
+    def counting_trace(s, chart, nums, den, A, m, p_cone, p, decorated,
+                       depth):
         if depth == 0:
-            traced[(chart, point, A, m, p_cone, p, decorated)] += 1
-        return trace(s, chart, point, A, m, *rest)
+            traced[(chart, nums, den, A, m, p_cone, p, decorated)] += 1
+        return trace(s, chart, nums, den, A, m, p_cone, p, decorated, depth)
 
     monkeypatch.setattr(broken, "_trace", counting_trace)
     s = quadrant(bound=3)

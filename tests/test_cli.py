@@ -278,7 +278,8 @@ def test_wall_exponent_off_its_support_is_rejected(bundle, capsys):
     assert code == 1 and out == ""
     assert json.loads(err) == {
         "schema": "wallcross/1", "error": "InadmissibleWallDirection",
-        "message": "exponent (-1, 0) not tangent to the wall support"}
+        "message": "wall 0 in chart (0, 1): exponent (-1, 0) not tangent "
+                   "to the wall support"}
 
 
 def test_broken_lines_decorated(bundle, capsys):

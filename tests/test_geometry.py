@@ -287,6 +287,19 @@ def test_unknown_keys_rejected(blowup):
 
 # -- relative structure ------------------------------------------------------
 
+def test_point_hash_is_the_dataclass_hash():
+    """A point's hash is computed once, with the value and equality of the
+    dataclass hash of (cone, coords, ambient)."""
+    x = PointInChart((0, 1), (1, Fraction(2, 7)), ambient=True)
+    same = PointInChart((0, 1), (Fraction(3, 3), Fraction(4, 14)),
+                        ambient=True)
+    assert hash(x) == hash(((0, 1), (Fraction(1), Fraction(2, 7)), True))
+    assert x == same and hash(x) == hash(same)
+    assert x != PointInChart((0, 1), (1, Fraction(2, 7)))
+    assert x != PointInChart((0, 2), (1, Fraction(2, 7)), ambient=True)
+    assert {x: 1}[same] == 1
+
+
 def relative_quadrant(b):
     return build_complex(
         simple_divisors(2, b=b), [(0, 1)], curve_rank=1, relative=True)

@@ -130,6 +130,18 @@ def test_assemble_rejects_non_tangent_direction():
         assemble_canonical(cx, [count_entry(u=(1, 0))], T2)
 
 
+def test_assembled_wall_error_names_chart_and_support():
+    """An assembled wall that fails its grading check is named by its chart
+    and support; the error keeps its class."""
+    with pytest.raises(WallError) as info:
+        assemble_canonical(quadrant_complex(), [count_entry()], T2,
+                           grading=[[0], [0]])
+    assert type(info.value) is WallError
+    assert str(info.value) == (
+        "wall in chart (0, 1) with support [[1, 1]]: monomial t^[1] "
+        "z^[-1, -1] has nonzero weight -1 on divisor D0")
+
+
 def test_assemble_merges_decorated_entries():
     # two decorated families on the same (support, u, A) aggregate W/|Aut|
     cx = quadrant_complex()

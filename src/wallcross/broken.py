@@ -24,7 +24,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from typing import Sequence
 
 from . import ring
 from .errors import (
@@ -35,14 +34,12 @@ from .errors import (
     NotAdjacent,
     UnsupportedDimension,
     WallError,
-    WrongSideCrossing,
 )
 from .geometry import GenericPointSampler, PointInChart
 from .linalg import det
 from .ring import RingElement, Truncation
 from .tropical import Edge, Leg, TropicalType, Vertex
-from .walls import (Chamber, Wall, WallStructure, _cone_key, cross_wall,
-                    primitive)
+from .walls import Chamber, Wall, WallStructure, _cone_key, primitive
 
 ConeId = tuple
 
@@ -116,29 +113,6 @@ class BrokenLine:
 @dataclass(frozen=True)
 class DecoratedBrokenLine:
     line: BrokenLine
-
-
-# -- transport ---------------------------------------------------------------
-
-def transport_results(mono: RingElement, wall: Wall,
-                      incoming_side: Sequence) -> list[RingElement]:
-    """All results of transporting a monomial across a wall.
-
-    The conormal is oriented positive on the incoming side; the results are
-    the terms of ``walls.cross_wall`` of the monomial, in sorted order (the
-    first is the straight continuation).
-    """
-    [((_A, m), _c)] = mono.sorted_terms()
-    side = _dot(wall.normal, incoming_side)
-    if side == 0:
-        raise WrongSideCrossing("incoming side lies on the wall")
-    pairing = _dot(wall.normal, m) if side > 0 else -_dot(wall.normal, m)
-    if pairing <= 0:
-        raise WrongSideCrossing(
-            f"pairing {pairing} is not positive on the incoming side")
-    return [RingElement.monomial(A, e, c, mono.cone, mono.trunc)
-            for (A, e), c in cross_wall(mono, wall,
-                                        incoming_side).sorted_terms()]
 
 
 # -- bend choices ------------------------------------------------------------
@@ -559,6 +533,14 @@ def _theta(s: WallStructure, asymptotic, x: PointInChart, seed):
     for line in _lines(s, asymptotic, x, False, seed):
         total = total.add(line.monomial(trunc))
     return total
+
+
+def theta_in_chamber(s: WallStructure, ch: Chamber, p, *seeds):
+    """(theta of p, sample point) at one point of the chamber ``ch`` per
+    seed; each point is generic for p's candidate monomials."""
+    asymptotic = _asymptotic(s, p, ch.cone)
+    xs = [_sample_in_chamber(s, ch, asymptotic[2], seed) for seed in seeds]
+    return [(_theta(s, asymptotic, x, 0), x) for x in xs]
 
 
 # -- structure constants -----------------------------------------------------

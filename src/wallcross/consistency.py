@@ -17,7 +17,7 @@ from functools import cmp_to_key
 from itertools import takewhile
 
 from . import linalg
-from .broken import _asymptotic, _sample_in_chamber, _theta
+from .broken import theta_in_chamber
 from .errors import (
     BoundaryJoint,
     ConsistencyError,
@@ -279,13 +279,6 @@ def _witness(diff: RingElement):
     return {"A": list(A), "m": list(m), "coefficient": str(c)}
 
 
-def _theta_in_chamber(s, ch, p, *seeds):
-    """(theta of p, sample point) at one point of ``ch`` per seed."""
-    asymptotic = _asymptotic(s, p, ch.cone)
-    xs = [_sample_in_chamber(s, ch, asymptotic[2], seed) for seed in seeds]
-    return [(_theta(s, asymptotic, x, 0), x) for x in xs]
-
-
 def patching_check(s: WallStructure, p_set: dict | None = None,
                    seed: int = 0) -> PatchingReport:
     """Theta-patching verification on a two-dimensional structure.
@@ -304,7 +297,7 @@ def patching_check(s: WallStructure, p_set: dict | None = None,
     # (1) chamber-interior invariance
     for ch in s.chambers:
         for p in p_set.get(tuple(ch.cone), ()):
-            (t1, _), (t2, _) = _theta_in_chamber(s, ch, p, seed, seed + 1)
+            (t1, _), (t2, _) = theta_in_chamber(s, ch, p, seed, seed + 1)
             diff = t1.sub(t2)
             loc = (tuple(ch.cone), ch.lower, ch.upper)
             if diff.is_zero():
@@ -323,8 +316,8 @@ def patching_check(s: WallStructure, p_set: dict | None = None,
         if below is None or above is None:
             continue
         for p in p_set.get(tuple(w.cone), ()):
-            [(t_src, x_src)] = _theta_in_chamber(s, above, p, seed)
-            [(t_dst, _)] = _theta_in_chamber(s, below, p, seed)
+            [(t_src, x_src)] = theta_in_chamber(s, above, p, seed)
+            [(t_dst, _)] = theta_in_chamber(s, below, p, seed)
             crossed = cross_wall(t_src, w, source_side=x_src.coords)
             diff = crossed.sub(t_dst)
             loc = (tuple(w.cone), ray)
@@ -381,10 +374,10 @@ def _slab_lift_items(s: WallStructure, w, p_set, seed):
     if ch_u is None or ch_u2 is None:
         return []
     for p in p_set.get(side_u, ()):
-        [(theta_u, _)] = _theta_in_chamber(s, ch_u, p, seed)
+        [(theta_u, _)] = theta_in_chamber(s, ch_u, p, seed)
         # same global asymptotic direction, evaluated from the far chamber
         p_pic = PointInChart(side_u, [Fraction(c) for c in p], ambient=True)
-        [(theta_u2, _)] = _theta_in_chamber(s, ch_u2, p_pic, seed)
+        [(theta_u2, _)] = theta_in_chamber(s, ch_u2, p_pic, seed)
         lift = _slab_lift(slab, s.trunc, theta_u, theta_u2,
                           pos_u, extra_u, pos_u2, extra_u2)
         img_u = slab_localize(lift, side_u)
@@ -664,7 +657,3 @@ def complete_codim0(inst: LocalInstance,
     if not ok:
         raise NonConvergent(f"loop still fails: {witness}")
     return done
-
-
-def nontrivial_rays(inst: LocalInstance) -> list[LocalRay]:
-    return [r for r in inst.rays if not r.function.is_one()]

@@ -41,10 +41,6 @@ class NotSubmersion(GeometryError):
     """The tropicalized fibration map is not linear across some transition."""
 
 
-class ChainTooShort(GeometryError):
-    """Boundary chart construction needs a chain of length at least one."""
-
-
 class UnsupportedDimension(WallcrossError):
     """Planar enumeration machinery invoked on a complex of dimension != 2."""
 
@@ -85,26 +81,14 @@ class ClassInIdeal(WallError):
     """A count entry's curve class already lies in the truncation ideal."""
 
 
-class SingularPoint(WallError):
-    """Evaluation requested at a point of the singular locus of a structure."""
-
-
 class BoundarySlab(WallError):
     """Slab localization needs both adjacent chambers."""
-
-
-class NonReducedFiber(WallError):
-    """Fiberwise restriction requires multiplicity-one good fiber divisors."""
 
 
 # broken lines --------------------------------------------------------------
 
 class BrokenLineError(WallcrossError):
     pass
-
-
-class WrongSideCrossing(BrokenLineError):
-    """Transport result requested with nonpositive normal pairing."""
 
 
 class NonGenericEndpoint(BrokenLineError):
@@ -148,16 +132,8 @@ class Unrealizable(TropicalError):
     """Universal family of the type is empty (or has empty interior)."""
 
 
-class VertexInDelta(TropicalError):
-    """Balancing cannot be checked at a vertex in the singular locus."""
-
-
 class RankDeficient(TropicalError):
     """Gluing difference map is not surjective over the rationals."""
-
-
-class IncompatibleOutputs(TropicalError):
-    """Broken-line types cannot be grafted (no common chamber)."""
 
 
 # -- command line -------------------------------------------------------------

@@ -21,7 +21,6 @@ from typing import Iterable, Mapping, Sequence
 from . import ring
 from .errors import (
     BadDivisorMeetsGoodCurve,
-    ChainTooShort,
     DisconnectedGoodBoundary,
     GeometryError,
     MissingNDimCone,
@@ -30,7 +29,7 @@ from .errors import (
     NotRelative,
     NotSubmersion,
 )
-from .linalg import det, mat_mul, mat_vec
+from .linalg import det, mat_vec
 
 ConeId = tuple[int, ...]
 
@@ -174,10 +173,6 @@ class ConeComplex:
         return [r for r in self.codim1_cones()
                 if len(self.max_cones_containing(r)) == 1]
 
-    def delta_cones(self) -> list[ConeId]:
-        """Cells of the singular locus: the codimension >= 2 skeleton."""
-        return sorted(c for c in self.cones if 0 < len(c) <= self.n - 2)
-
     def kink(self, rho: ConeId) -> tuple[int, ...]:
         return self.kinks.get(tuple(sorted(rho)), (0,) * self.curve_rank)
 
@@ -242,15 +237,6 @@ class ConeComplex:
         raise NotAdjacent(
             f"{sigma} and {sigma2} do not share an interior facet")
 
-    def loop_matrix(self, cone_path: Sequence[ConeId]):
-        """Product of the transitions along a closed path of maximal cones."""
-        if cone_path[0] != cone_path[-1]:
-            raise GeometryError("path must be closed")
-        result = _identity(self.n)
-        for a, b in zip(cone_path, cone_path[1:]):
-            result = mat_mul(self.crossing_to(a, b).matrix, result)
-        return tuple(tuple(row) for row in result)
-
     def transport_element(self, f: ring.RingElement, sigma: ConeId,
                           sigma2: ConeId) -> ring.RingElement:
         """f in the sigma2 chart, term by term through ``Crossing.monomial``
@@ -272,19 +258,6 @@ class ConeComplex:
     def _require_relative(self):
         if not self.relative or self.divisors.fiber_multiplicities is None:
             raise NotRelative("no fibration data on this complex")
-
-    def fibration_value(self, point: PointInChart) -> Fraction:
-        """Value of the tropicalized fibration at a point of a chart."""
-        self._require_relative()
-        b = self.divisors.fiber_multiplicities
-        return sum((Fraction(b[i]) * c
-                    for i, c in zip(point.cone, point.coords)), Fraction(0))
-
-    def cone_is_boundary(self, cone: ConeId) -> bool:
-        """Whether the cone lies in the zero fiber of the tropicalized map."""
-        self._require_relative()
-        b = self.divisors.fiber_multiplicities
-        return all(b[i] == 0 for i in cone)
 
     def check_submersion(self):
         """Fibration must look linear across every interior transition."""
@@ -424,66 +397,6 @@ def validate_complex(cx: ConeComplex):
 
     if cx.relative:
         cx.check_submersion()
-
-
-# -- boundary chart construction ---------------------------------------------
-
-@dataclass(frozen=True)
-class BoundaryChart:
-    """Fan of a boundary divisor with its affine embedding data.
-
-    ``rays``: the 2D ray directions of the vertical strata chain; ``psi``:
-    per tracked divisor, the embedding corrections at each ray.  The full
-    embedding sends the j-th tracked divisor ray to (0, e_j) and the l-th
-    chain ray to (rays[l], -sum_j psi[j][l] e_j).
-    """
-
-    rays: tuple[tuple[int, int], ...]
-    psi: tuple[tuple[int, ...], ...]  # psi[j][l]
-
-
-def boundary_chart(self_intersections: Sequence[int],
-                   intersection_rows: Sequence[Sequence[int]] = (),
-                   boundary_numbers: Sequence[int] | None = None
-                   ) -> BoundaryChart:
-    """Fan of a vertical-strata chain from self-intersections.
-
-    Chain rays satisfy the recursion  n_{l+1} = -C_l^2 n_l - n_{l-1}  with
-    n_0 = (0,1), n_1 = (1,0); the embedding corrections follow
-    psi_j(n_{l+1}) = D_j·C_l - C_l^2 psi_j(n_l) - psi_j(n_{l-1}), starting
-    at zero on the first two rays.  When ``boundary_numbers`` is given, the
-    closing identity (last ray = (0,-1) and psi_j there = boundary number)
-    is asserted.
-    """
-    r = len(self_intersections) + 1
-    if r < 1:
-        raise ChainTooShort("need a chain of length at least one")
-    rows = [list(row) for row in intersection_rows]
-    if any(len(row) != r - 1 for row in rows):
-        raise GeometryError("intersection row length must be chain length - 1")
-
-    rays = [(0, 1), (1, 0)]
-    psi = [[0, 0] for _ in rows]
-    for ell in range(1, r):
-        c2 = int(self_intersections[ell - 1])
-        prev, cur = rays[ell - 1], rays[ell]
-        rays.append((-c2 * cur[0] - prev[0], -c2 * cur[1] - prev[1]))
-        for j, row in enumerate(rows):
-            psi[j].append(int(row[ell - 1]) - c2 * psi[j][ell]
-                          - psi[j][ell - 1])
-
-    chart = BoundaryChart(rays=tuple(tuple(v) for v in rays),
-                          psi=tuple(tuple(p) for p in psi))
-    if boundary_numbers is not None:
-        if rays[-1] != (0, -1):
-            raise GeometryError(
-                f"chain does not close: last ray {rays[-1]} != (0,-1)")
-        for j, b in enumerate(boundary_numbers):
-            if psi[j][0] + psi[j][-1] != int(b):
-                raise GeometryError(
-                    f"embedding correction mismatch for divisor {j}: "
-                    f"{psi[j][0] + psi[j][-1]} != {b}")
-    return chart
 
 
 # -- generic point sampling --------------------------------------------------

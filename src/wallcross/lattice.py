@@ -2,7 +2,7 @@
 
 Smith normal form over the integers with unimodular transforms, cokernel
 orders, and integer kernels.  These are the primitives behind every lattice
-index (wall multiplicities, gluing multiplicities, fibration indices).
+index (wall multiplicities, gluing multiplicities).
 
 One elimination (``_eliminate``) brings a matrix to Smith form.  Each entry
 point tracks only the transforms it reads: ``smith_normal_form`` both U
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from math import gcd, prod
 from typing import Iterable, Sequence
 
-from .linalg import det, mat_mul, mat_vec
+from .linalg import det
 
 INFINITE = "infinite"
 
@@ -55,11 +55,6 @@ class IntegerMatrix:
             raise ValueError("ragged rows")
         return cls(r, c, tuple(int(x) for row in rows for x in row))
 
-    @classmethod
-    def identity(cls, n: int) -> "IntegerMatrix":
-        return cls(n, n, tuple(1 if i == j else 0
-                               for i in range(n) for j in range(n)))
-
     def __getitem__(self, ij: tuple[int, int]) -> int:
         i, j = ij
         return self.entries[i * self.cols + j]
@@ -67,17 +62,6 @@ class IntegerMatrix:
     def to_rows(self) -> list[list[int]]:
         return [list(self.entries[i * self.cols:(i + 1) * self.cols])
                 for i in range(self.rows)]
-
-    def multiply(self, other: "IntegerMatrix") -> "IntegerMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        return IntegerMatrix.from_rows(
-            mat_mul(self.to_rows(), other.to_rows()))
-
-    def apply(self, v: Sequence[int]) -> tuple[int, ...]:
-        if len(v) != self.cols:
-            raise ValueError("vector length mismatch")
-        return mat_vec(self.to_rows(), v)
 
 
 @dataclass(frozen=True)

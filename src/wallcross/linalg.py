@@ -22,13 +22,6 @@ def mat_vec(m: Sequence[Sequence], v: Sequence) -> tuple:
     return tuple(sum(a * b for a, b in zip(row, v)) for row in m)
 
 
-def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
-    """a·b in the entries' own arithmetic: integers in, integers out."""
-    cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols]
-            for row in a]
-
-
 def _rref(m: Matrix, cols: int | None = None) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form; returns (rref, pivot column indices).
 

@@ -1,11 +1,10 @@
-"""Tropical types: balancing, universal cones, classification, gluing.
+"""Tropical types: universal cones, classification, splitting multiplicities.
 
 A tropical type is a tree decorated with cells of a cone complex and
 integral contact orders.  The module computes the universal family of
 tropical maps of a type by exact polyhedral algebra in a single chart,
-classifies types (wall / broken-line / degenerate / product), computes
-lattice-index multiplicities of vertex splittings, and glues broken-line
-types into product types.
+classifies types (wall / broken-line / degenerate / product) and computes
+lattice-index multiplicities of vertex splittings.
 """
 
 from __future__ import annotations
@@ -16,12 +15,10 @@ from typing import Sequence
 
 from . import linalg
 from .errors import (
-    IncompatibleOutputs,
     RankDeficient,
     TropicalError,
     UnsupportedDimension,
     Unrealizable,
-    VertexInDelta,
 )
 from .geometry import ConeComplex
 from .lattice import (
@@ -168,35 +165,6 @@ def _containing_chart(t: TropicalType, cx: ConeComplex) -> ConeId:
             return sigma
     raise UnsupportedDimension(
         "type spans several charts; only single-chart types are supported")
-
-
-# -- balancing ---------------------------------------------------------------
-
-def balancing_check(t: TropicalType, cx: ConeComplex):
-    """Check the balancing condition; returns (ok, failing vertex or None).
-
-    Vertices over cells of codimension at most one are checked; deeper
-    vertices are skipped.  All data must live in one chart.
-    """
-    chart = _containing_chart(t, cx)
-    n = cx.n
-    for i, v in enumerate(t.vertices):
-        if tuple(sorted(v.cone)) in cx.delta_cones():
-            raise VertexInDelta(f"vertex {i} lies in the singular locus")
-        if len(v.cone) < n - 1:
-            continue
-        total = [0] * n
-        for e in t.edges:
-            if e.v[0] == i:
-                total = [a + b for a, b in zip(total, e.u)]
-            if e.v[1] == i:
-                total = [a - b for a, b in zip(total, e.u)]
-        for l in t.legs:
-            if l.v == i:
-                total = [a + b for a, b in zip(total, l.u)]
-        if any(total):
-            return False, i
-    return True, None
 
 
 # -- exact feasibility (Fourier-Motzkin) -------------------------------------
@@ -633,90 +601,3 @@ def _in_lattice_basis(vecs, lattice):
                 f"evaluation difference {vec} is not in the stratum lattice")
         out.append([int(x) for x in sol])
     return out
-
-
-# -- displacement / transversality -------------------------------------------
-
-@dataclass(frozen=True)
-class TransverseReport:
-    member: bool
-    surjective: bool
-    nu_general: bool
-
-
-def transverse_check(pieces: Sequence[SplitPiece],
-                     edges: Sequence[GluingEdge],
-                     nu: Sequence[Sequence[int]],
-                     cx: ConeComplex) -> TransverseReport:
-    """Membership of a splitting in the displaced matching locus.
-
-    ``nu`` gives one displacement vector per gluing edge (chart coords).
-    The splitting belongs to the locus when the perturbed matching system
-    has an honest solution; the displacement is general for this candidate
-    when the difference map is surjective or the displacement misses its
-    rational image.
-    """
-    # rational solvability of eps(x) = nu over the combined parameter space
-    columns = [[x for contrib in col for x in contrib]
-               for col in _difference_columns(pieces, edges, cx)]
-    target = []
-    for v in nu:
-        target.extend(int(x) for x in v)
-    rows = [[col[i] for col in columns] for i in range(len(target))]
-    [sol], rk = linalg.solve_columns(rows, [target])
-    member = sol is not None
-    surjective = rk == len(target)
-    nu_general = surjective or not member
-    return TransverseReport(member=member, surjective=surjective,
-                            nu_general=nu_general)
-
-
-# -- product gluing ----------------------------------------------------------
-
-def glue_product_type(t1: TropicalType, t2: TropicalType,
-                      r: Sequence[int], cx: ConeComplex) -> TropicalType:
-    """Graft two broken-line types at a new trivalent output vertex.
-
-    The two output legs become edges into a fresh vertex carrying a new
-    output leg with contact order -r; requires the final monomial
-    directions to sum to r and the output data to share a chamber.
-    """
-    o1 = t1.leg_with_role("out")
-    o2 = t2.leg_with_role("out")
-    if o1 is None or o2 is None:
-        raise IncompatibleOutputs("both types need an output leg")
-    m1 = tuple(-x for x in o1[1].u)
-    m2 = tuple(-x for x in o2[1].u)
-    if tuple(a + b for a, b in zip(m1, m2)) != tuple(r):
-        raise IncompatibleOutputs(
-            f"final directions {m1} + {m2} do not sum to {list(r)}")
-    c1 = _containing_chart(t1, cx)
-    c2 = _containing_chart(t2, cx)
-    if c1 != c2:
-        raise IncompatibleOutputs("output data live in different charts")
-    off2 = len(t1.vertices)
-    v_out = off2 + len(t2.vertices)
-    vertices = (t1.vertices + t2.vertices +
-                (Vertex(cone=tuple(sorted(c1)),
-                        A=(0,) * cx.curve_rank),))
-    edges = list(t1.edges)
-    edges += [Edge(v=(a + off2, b + off2), u=e.u)
-              for e in t2.edges for a, b in [e.v]]
-    # former output legs become edges toward the new vertex
-    edges.append(Edge(v=(o1[1].v, v_out), u=o1[1].u))
-    edges.append(Edge(v=(o2[1].v + off2, v_out), u=o2[1].u))
-    legs = [Leg(v=l.v, u=l.u, role="in1" if l.role == "inc" else l.role)
-            for i, l in enumerate(t1.legs) if i != o1[0]]
-    legs += [Leg(v=l.v + off2, u=l.u,
-                 role="in2" if l.role == "inc" else l.role)
-             for i, l in enumerate(t2.legs) if i != o2[0]]
-    legs.append(Leg(v=v_out, u=tuple(-x for x in r), role="out"))
-    return TropicalType(vertices=vertices, edges=tuple(edges),
-                        legs=tuple(legs))
-
-
-def contact_multiplicity(cx: ConeComplex, chart: ConeId, rho: ConeId,
-                         u: Sequence[int]) -> int:
-    """|pairing| of a contact order with the conormal of a codim-1 cell."""
-    normal = cx.normal_into(chart, tuple(sorted(rho)))
-    return abs(sum(a * b for a, b in zip(normal, u)))

@@ -3,7 +3,7 @@
 A wall is a codimension-one rational cone inside a maximal cell, carrying a
 function congruent to 1 modulo the curve-class maximal ideal whose exponents
 are tangent to the support.  Structures are assembled from enumerative count
-data, compared by sampling, refined, and crossed by monomial automorphisms.
+data, refined, and crossed by monomial automorphisms.
 Slabs (walls lying inside codimension-one cells of the complex) additionally
 carry a two-sided ring with transversal variables whose product is the wall
 function times the kink class.
@@ -23,13 +23,10 @@ from .errors import (
     BoundarySlab,
     ClassInIdeal,
     InadmissibleWallDirection,
-    NonReducedFiber,
-    NotAdjacent,
-    SingularPoint,
     UnsupportedDimension,
     WallError,
 )
-from .geometry import ConeComplex, ConeId, GenericPointSampler, PointInChart
+from .geometry import ConeComplex, ConeId
 from .lattice import IntegerMatrix, kernel_basis
 from .ring import RingElement, Truncation, _product_by_exponent
 
@@ -66,10 +63,6 @@ class Wall:
         [v] = basis
         return v if next(x for x in reversed(v) if x) > 0 \
             else tuple(-x for x in v)
-
-    def contains_point(self, coords: Sequence[Fraction]) -> tuple | None:
-        """Barycentric coordinates of the point on the wall, or None."""
-        return linalg.cone_coords(self.support, coords)
 
 
 @dataclass(frozen=True)
@@ -118,49 +111,6 @@ class WallStructure:
                 if w.cone == chart
                 or (w.rho is not None and set(w.rho) <= set(chart))}
         return self._logs_by_chart[chart]
-
-    # -- evaluation ----------------------------------------------------------
-
-    def walls_through(self, x: PointInChart) -> list[tuple[Wall, tuple]]:
-        found = []
-        for w in self.walls:
-            coords = self._coords_in_chart(x, w.cone)
-            if coords is None:
-                continue
-            bary = w.contains_point(coords)
-            if bary is not None:
-                found.append((w, bary))
-        return found
-
-    def _coords_in_chart(self, x: PointInChart, cone: ConeId):
-        if x.cone == cone:
-            return x.coords
-        try:
-            c = self.complex.crossing_to(x.cone, cone)
-        except NotAdjacent:
-            return None
-        # the point must lie on the shared facet for the transition to be
-        # meaningful as a point map
-        if x.coords[c.pos] != 0:
-            return None
-        return c.vector(x.coords)
-
-    def f_at(self, x: PointInChart) -> RingElement:
-        """Product of the functions of all walls through x (in x's chart)."""
-        hits = self.walls_through(x)
-        result = RingElement.one(tuple(x.cone), self.trunc, self.complex.n)
-        normals = set()
-        for w, bary in hits:
-            if any(b == 0 for b in bary):
-                raise SingularPoint(
-                    f"{x} lies on the boundary of a wall support")
-            # the sign rule makes equal-up-to-sign normals equal
-            normals.add(w.normal)
-            if len(normals) > 1:
-                raise SingularPoint(f"{x} lies on two transversal walls")
-            result = result.mul(self.complex.transport_element(
-                w.function, w.cone, tuple(x.cone)))
-        return result
 
     # -- serialization -------------------------------------------------------
 
@@ -212,7 +162,8 @@ def minimal_cell(cx: ConeComplex, cone: ConeId, support) -> ConeId:
 def check_wall(cx: ConeComplex, wall: Wall,
                grading: Sequence[Sequence[int]] | None = None,
                label: str | None = None):
-    """Validate support dimension, tangency, admissibility and grading.
+    """Validate a simplicial support of dimension n-1, tangency,
+    admissibility and grading.
 
     A ``WallError`` keeps its class and names the wall: its message starts
     with ``label`` (``wall 0 in chart (0, 1)``), or else with the wall's
@@ -231,6 +182,9 @@ def _check_wall(cx: ConeComplex, wall: Wall, grading):
     n = cx.n
     if len(wall.cone) != n or tuple(wall.cone) not in cx.cones:
         raise WallError(f"{wall.cone} is not a maximal cone")
+    if len(wall.support) != n - 1:
+        raise WallError(f"a simplicial wall support has n-1 = {n - 1} "
+                        f"generators, not {len(wall.support)}")
     if linalg.rank([list(g) for g in wall.support]) != n - 1:
         raise WallError("wall support must have dimension n-1")
     normal = wall.normal
@@ -395,52 +349,6 @@ def truncation_to_json(trunc: Truncation) -> dict:
         out.update(mode="generators",
                    generators=[list(g) for g in trunc.generators])
     return out
-
-
-# -- equivalence -------------------------------------------------------------
-
-def equivalent(s1: WallStructure, s2: WallStructure, seed: int = 0):
-    """Sampled comparison of the two structures' pointwise functions.
-
-    One generic interior point per wall of either structure (plus one point
-    off all walls); returns (True, None) or (False, witness point).
-    """
-    if s1.complex is not s2.complex and s1.complex != s2.complex:
-        raise WallError("structures live on different complexes")
-    sampler = GenericPointSampler(seed=seed)
-    probes: list[PointInChart] = []
-    for s in (s1, s2):
-        for w in s.walls:
-            probes.append(_relint_point(w, sampler))
-    if s1.complex.maximal_cones:
-        cone = s1.complex.maximal_cones[0]
-        probes.append(sampler.sample(cone, s1.complex.n))
-    for x in probes:
-        f1 = _f_at_tolerant(s1, x)
-        f2 = _f_at_tolerant(s2, x)
-        if f1 is None or f2 is None or f1 != f2:
-            return False, x
-    return True, None
-
-
-def _relint_point(w: Wall, sampler: GenericPointSampler,
-                  attempts: int = 32) -> PointInChart:
-    n = len(w.support[0])
-    for trial in range(attempts):
-        weights = [Fraction(sampler._rng.randint(1, 97), 101)
-                   for _ in w.support]
-        coords = tuple(sum((wt * g[i] for wt, g in zip(weights, w.support)),
-                           Fraction(0)) for i in range(n))
-        if any(coords):
-            return PointInChart(cone=w.cone, coords=coords, ambient=True)
-    raise WallError("could not sample a relative interior point")
-
-
-def _f_at_tolerant(s: WallStructure, x: PointInChart):
-    try:
-        return s.f_at(x)
-    except SingularPoint:
-        return None
 
 
 # -- refinement --------------------------------------------------------------
@@ -648,42 +556,3 @@ def slab_localize(e: SlabRingElement, side: ConeId) -> RingElement:
         term = RingElement.monomial(newA, m, c, side, e.trunc)
         result = result.add(term.mul(f.pow_nonneg(count)))
     return result
-
-
-# -- relative restriction ----------------------------------------------------
-
-@dataclass(frozen=True)
-class RelativeRestriction:
-    asymptotic: WallStructure
-    fiber: tuple  # (wall, index) pairs: function raised to the index
-
-
-def relative_restrict(s: WallStructure) -> RelativeRestriction:
-    """Asymptotic and fiberwise parts of a structure on a fibered complex."""
-    cx = s.complex
-    cx._require_relative()
-    b = cx.divisors.fiber_multiplicities
-    for i in range(len(cx.divisors)):
-        if cx.divisors.is_good(i) and b[i] > 1:
-            raise NonReducedFiber(
-                f"good divisor {cx.divisors.names[i]} has fiber "
-                f"multiplicity {b[i]} > 1")
-    asym_walls = []
-    fiber_walls = []
-    for w in s.walls:
-        bvals = [b[i] for i in w.cone]
-        zero_gens = [g for g in w.support
-                     if all(g[j] == 0 for j in range(cx.n) if bvals[j] > 0)]
-        if linalg.rank([list(g) for g in zero_gens]) == cx.n - 2:
-            asym_walls.append(replace(w, support=tuple(zero_gens), rho=None))
-        # fibration values on a saturated lattice basis of the support span
-        span_basis = kernel_basis(
-            IntegerMatrix.from_rows([list(w.normal)]))
-        vals = [sum(bvals[j] * v[j] for j in range(cx.n))
-                for v in span_basis]
-        ind = gcd(*vals)
-        if ind > 0:
-            fiber_walls.append(
-                (replace(w, function=w.function.pow_nonneg(ind)), ind))
-    asym = WallStructure(complex=cx, trunc=s.trunc, walls=tuple(asym_walls))
-    return RelativeRestriction(asymptotic=asym, fiber=tuple(fiber_walls))

@@ -21,13 +21,11 @@ from wallcross.broken import (
     decorated_to_type,
     enumerate_lines,
     theta,
-    transport_results,
     type_to_line,
 )
 from wallcross.errors import (
     EndpointOutsideFamily,
     NonGenericEndpoint,
-    WrongSideCrossing,
 )
 from wallcross.geometry import DivisorTable, PointInChart, build_complex
 from wallcross.ring import RingElement, Truncation
@@ -179,39 +177,6 @@ def test_theta_in_cone_of_x_is_monomial_mod_maximal_ideal():
     for (A, _m), _c in t.sorted_terms():
         if A == (0,):
             assert _m == (3, 1)
-
-
-# -- transport ---------------------------------------------------------------
-
-def mono(A, m, s, c=1):
-    return RingElement.monomial(A, m, c, CONE, s.trunc)
-
-
-def test_transport_straight_choice():
-    s = quadrant()
-    z = mono((0,), (1, 0), s)
-    assert transport_results(z, s.walls[0], (2, 1))[0] == z
-
-
-def test_transport_two_results_for_pairing_one():
-    s = quadrant()
-    z = mono((0,), (1, 0), s)
-    results = transport_results(z, s.walls[0], (2, 1))
-    assert results == [z, mono((1,), (0, -1), s)]
-
-
-def test_transport_three_results_for_pairing_two():
-    s = quadrant(bound=2)
-    z = mono((0,), (2, 0), s)
-    results = transport_results(z, s.walls[0], (2, 1))
-    assert results == [z, mono((1,), (1, -1), s, 2), mono((2,), (0, -2), s)]
-
-
-def test_transport_wrong_side_raises():
-    s = quadrant()
-    z = mono((0,), (-1, 0), s)
-    with pytest.raises(WrongSideCrossing):
-        transport_results(z, s.walls[0], (2, 1))
 
 
 # -- structure constants -----------------------------------------------------

@@ -282,6 +282,24 @@ def test_wall_exponent_off_its_support_is_rejected(bundle, capsys):
                    "to the wall support"}
 
 
+def test_non_simplicial_wall_support_is_rejected(bundle, capsys):
+    """A loaded wall whose support repeats its ray, (1, 1) and (2, 2), is
+    named in the diagnostic."""
+    data = json.loads(open(bundle["w"]).read())
+    assert data["walls"][0]["support"] == [[1, 1]]
+    data["walls"][0]["support"] = [[1, 1], [2, 2]]
+    path = bundle["tmp"] / "walls-non-simplicial.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "theta", "-g", bundle["g"],
+                         "-t", bundle["t"], "-w", str(path),
+                         "--p", "1,0", "--x", "1,2")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "schema": "wallcross/1", "error": "WallError",
+        "message": "wall 0 in chart (0, 1): a simplicial wall support has "
+                   "n-1 = 1 generators, not 2"}
+
+
 def test_broken_lines_decorated(bundle, capsys):
     code, out, _ = run(capsys, "broken-lines", "-g", bundle["g"],
                        "-t", bundle["t"], "-w", bundle["w"],

@@ -25,7 +25,6 @@ from wallcross.consistency import (
     default_p_set,
     identity_around,
     localize_at_joint,
-    nontrivial_rays,
     ordered_rays,
     patching_check,
     path_ordered,
@@ -233,7 +232,8 @@ def test_verdict_invariant_under_rotation_and_reversal():
 def test_completion_emits_single_commutator_wall():
     inst = two_lines()
     done = complete_codim0(inst, max_weight=2)
-    new = [r for r in nontrivial_rays(done) if r not in inst.rays]
+    new = [r for r in done.rays
+           if not r.function.is_one() and r not in inst.rays]
     assert len(new) == 1
     assert new[0].direction == (-1, -1)
     expected = RingElement.one(LOCAL_CHART, T12, 2).add(mono((1, 1), (1, 1)))
@@ -270,7 +270,8 @@ def test_completion_same_parameter_to_weight_four():
     done = complete_codim0(inst, max_weight=4)
     assert identity_around(done, max_weight=4) == (True, None)
     assert oracle_is_identity(done)
-    new = [r for r in nontrivial_rays(done) if r not in inst.rays]
+    new = [r for r in done.rays
+           if not r.function.is_one() and r not in inst.rays]
     # the classical answer: one central ray with 1 + t^2 z^(1,1)
     assert [r.direction for r in new] == [(-1, -1)]
     assert new[0].function == RingElement.one(LOCAL_CHART, T4, 2).add(
@@ -290,7 +291,8 @@ def test_completion_keeps_large_coefficients_exact():
         rays += [LocalRay(a, f), LocalRay(tuple(-x for x in a), f)]
     inst = LocalInstance(trunc=trunc, rays=tuple(rays))
     done = complete_codim0(inst)
-    new = [r for r in nontrivial_rays(done) if r not in inst.rays]
+    new = [r for r in done.rays
+           if not r.function.is_one() and r not in inst.rays]
     assert [r.direction for r in new] == [(-1, -1)]
     assert new[0].function.terms == {((0, 0), (0, 0)): 1,
                                      ((1, 1), (1, 1)): c1 * c2}
@@ -351,8 +353,8 @@ def test_completion_matches_gps_closed_form_at_weight_ten(shared):
     start = time.perf_counter()
     done = complete_codim0(inst, max_weight=weight)
     elapsed = time.perf_counter() - start
-    new = {r.direction: r.function.terms
-           for r in nontrivial_rays(done) if r not in inst.rays}
+    new = {r.direction: r.function.terms for r in done.rays
+           if not r.function.is_one() and r not in inst.rays}
     assert new == expected
     assert elapsed < 5.0, f"completion took {elapsed:.2f} s"
 

@@ -1,4 +1,4 @@
-"""Cone-complex tests: validation, charts, fibration data, boundary charts."""
+"""Cone-complex tests: validation, charts, fibration data, sampling."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from wallcross.errors import (
     BadDivisorMeetsGoodCurve,
-    ChainTooShort,
     DisconnectedGoodBoundary,
     GeometryError,
     MissingNDimCone,
@@ -25,7 +24,6 @@ from wallcross.geometry import (
     DivisorTable,
     GenericPointSampler,
     PointInChart,
-    boundary_chart,
     build_complex,
     geometry_from_json,
     geometry_to_json,
@@ -36,6 +34,17 @@ from wallcross.ring import RingElement, Truncation
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 IDENT3 = tuple(tuple(1 if i == j else 0 for j in range(3)) for i in range(3))
+
+
+def loop_matrix(cx, cone_path):
+    """Product of the transitions along a closed path of maximal cones."""
+    assert cone_path[0] == cone_path[-1]
+    result = [[int(i == j) for j in range(cx.n)] for i in range(cx.n)]
+    for a, b in zip(cone_path, cone_path[1:]):
+        m = cx.crossing_to(a, b).matrix
+        result = [[sum(m[i][k] * result[k][j] for k in range(cx.n))
+                   for j in range(cx.n)] for i in range(cx.n)]
+    return tuple(tuple(row) for row in result)
 
 
 def simple_divisors(k, a=None, b=None):
@@ -101,7 +110,7 @@ def test_transition_identity_on_same_cone():
     f = RingElement.one((0, 1), trunc, 2).add(
         RingElement.monomial((1,), (1, -1), 3, (0, 1), trunc))
     assert cx.transport_element(f, (0, 1), (0, 1)) is f
-    assert cx.loop_matrix([(0, 1)]) == ((1, 0), (0, 1))
+    assert loop_matrix(cx, [(0, 1)]) == ((1, 0), (0, 1))
 
 
 def test_transition_zero_number_flips():
@@ -170,7 +179,7 @@ def test_hirzebruch_crossings_agree_with_the_fan():
     class by the exponent's coefficient on the ray off the facet."""
     cx = hirzebruch()
     loop = [(0, 1), (1, 2), (2, 3), (0, 3), (0, 1)]
-    assert cx.loop_matrix(loop) == ((1, 0), (0, 1))   # a complete fan
+    assert loop_matrix(cx, loop) == ((1, 0), (0, 1))   # a complete fan
     for sigma in cx.maximal_cones:
         for c in cx.crossings(sigma).values():
             for m in [(1, 0), (0, 1), (2, -3), (-5, 4)]:
@@ -236,19 +245,19 @@ def test_blowup_star_loops_of_codim1_trivial(blowup):
     # crossing an interior facet back and forth composes to the identity
     for rho in blowup.interior_codim1():
         s1, s2 = blowup.max_cones_containing(rho)
-        assert blowup.loop_matrix([s1, s2, s1]) == IDENT3
+        assert loop_matrix(blowup, [s1, s2, s1]) == IDENT3
 
 
 def test_blowup_monodromy_shear(blowup):
     # the loop of the four maximal cones around the ray of D_{1,inf}
     # is the elementary shear: the affine structure is singular there
     loop = [(1, 2, 3), (1, 3, 5), (3, 5, 6), (2, 3, 6), (1, 2, 3)]
-    assert blowup.loop_matrix(loop) == ((1, 1, 0), (0, 1, 0), (0, 0, 1))
+    assert loop_matrix(blowup, loop) == ((1, 1, 0), (0, 1, 0), (0, 0, 1))
 
 
 def test_blowup_some_monodromy_trivial(blowup):
     loop = [(0, 1, 2), (0, 1, 5), (1, 3, 5), (1, 2, 3), (0, 1, 2)]
-    assert blowup.loop_matrix(loop) == IDENT3
+    assert loop_matrix(blowup, loop) == IDENT3
 
 
 def test_blowup_json_round_trip(blowup):
@@ -300,26 +309,10 @@ def test_point_hash_is_the_dataclass_hash():
     assert {x: 1}[same] == 1
 
 
-def relative_quadrant(b):
-    return build_complex(
-        simple_divisors(2, b=b), [(0, 1)], curve_rank=1, relative=True)
-
-
 def test_absolute_complex_rejects_fibration_queries():
     cx = build_complex(simple_divisors(2), [(0, 1)], curve_rank=1)
     with pytest.raises(NotRelative):
-        cx.fibration_value(PointInChart((0, 1), (1, 1)))
-
-
-def test_fibration_value_on_ray_point():
-    cx = relative_quadrant((1, 1))
-    assert cx.fibration_value(PointInChart((0, 1), (1, 0))) == 1
-
-
-def test_boundary_classification_depends_on_weights():
-    cx = relative_quadrant((1, 0))
-    assert not cx.cone_is_boundary((0,))
-    assert cx.cone_is_boundary((1,))
+        cx.check_submersion()
 
 
 def test_submersion_violation_detected():
@@ -335,58 +328,8 @@ def test_submersion_ok_when_linear():
     # the flip unless b1 + b2 = -number * b_shared; with number 0, b1 = -b2
     # is impossible for nonnegative weights unless both vanish
     table = simple_divisors(3, b=(1, 0, 0))
-    cx = build_complex(table, [(0, 1), (0, 2)],
-                       intersections={(0,): (0,)}, curve_rank=1,
-                       relative=True)
-    assert not cx.cone_is_boundary((0,))
-    assert cx.cone_is_boundary((1,))
-
-
-# -- boundary chart recursion ------------------------------------------------
-
-def test_boundary_chart_initial_rays():
-    chart = boundary_chart([])
-    assert chart.rays == ((0, 1), (1, 0))
-
-
-def test_boundary_chart_minus_one():
-    chart = boundary_chart([-1])
-    assert chart.rays[-1] == (1, -1)
-
-
-def test_boundary_chart_minus_two():
-    chart = boundary_chart([-2])
-    assert chart.rays[-1] == (2, -1)
-
-
-def test_boundary_chart_closing_chain():
-    # chain of self-intersections 0, -1, ... : rays (0,1),(1,0),(0,-1) closes
-    chart = boundary_chart([0], [[3]], boundary_numbers=[3])
-    assert chart.rays == ((0, 1), (1, 0), (0, -1))
-    # the embedding correction at the last ray equals the boundary number
-    assert chart.psi[0][-1] == 3
-
-
-def test_boundary_chart_recursion_oracle():
-    # independent recursion replay for a longer random-ish chain
-    cs = [-1, -2, -3]
-    chart = boundary_chart(cs, [[1, 0, 2]])
-    rays = [(0, 1), (1, 0)]
-    psi = [0, 0]
-    for ell, c2 in enumerate(cs, start=1):
-        rays.append((-c2 * rays[ell][0] - rays[ell - 1][0],
-                     -c2 * rays[ell][1] - rays[ell - 1][1]))
-        psi.append([1, 0, 2][ell - 1] - c2 * psi[ell] - psi[ell - 1])
-    assert chart.rays == tuple(rays)
-    assert chart.psi[0] == tuple(psi)
-
-
-def test_boundary_chart_fibration_functional():
-    # the linear functional (1,0) takes value 0 on the first ray and 1 on
-    # the second: the fan sits over the tropicalized fibration correctly
-    chart = boundary_chart([-1, -1])
-    assert chart.rays[0][0] == 0
-    assert chart.rays[1][0] == 1
+    build_complex(table, [(0, 1), (0, 2)], intersections={(0,): (0,)},
+                  curve_rank=1, relative=True)
 
 
 # -- generic point sampling --------------------------------------------------

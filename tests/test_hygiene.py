@@ -1,7 +1,11 @@
 """Source hygiene: no module of the package imports a name it never uses,
 no function imports from the package at call time, no top-level function
 or class of the package goes unnamed outside its definition, and no method
-or property of a package class is never taken as an attribute."""
+or property of a package class is never taken as an attribute.
+
+Callers are the package itself, the benchmark and the scripts (``src/``,
+``perfbench/``, ``scripts/``).  Tests do not count: a definition that only
+a test names is not part of the engine."""
 
 from __future__ import annotations
 
@@ -19,7 +23,7 @@ PACKAGE = os.path.join(os.path.dirname(__file__), os.pardir, "src",
                        "wallcross")
 MODULES = sorted(f for f in os.listdir(PACKAGE) if f.endswith(".py"))
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
-SOURCE_DIRS = ("src", "tests", "perfbench", "scripts")
+CALLER_DIRS = ("src", "perfbench", "scripts")
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
@@ -112,12 +116,23 @@ def orphans(definitions: dict[str, str], sources: list[str]) -> list[str]:
                   if isinstance(node, DEFINITIONS) and used[node.name] <= 0)
 
 
-def _python_files():
-    for top in SOURCE_DIRS:
-        for dirpath, _dirs, files in os.walk(os.path.join(ROOT, top)):
+def caller_sources(root: str = ROOT) -> list[str]:
+    """The Python sources under the caller directories of ``root``."""
+    sources = []
+    for top in CALLER_DIRS:
+        for dirpath, _dirs, files in os.walk(os.path.join(root, top)):
             for name in sorted(files):
                 if name.endswith(".py"):
-                    yield os.path.join(dirpath, name)
+                    with open(os.path.join(dirpath, name)) as fh:
+                        sources.append(fh.read())
+    return sources
+
+
+def _plant(root, files: dict[str, str]):
+    for path, text in files.items():
+        full = root / path
+        full.parent.mkdir(parents=True, exist_ok=True)
+        full.write_text(text)
 
 
 def test_detector_flags_an_orphaned_helper():
@@ -131,16 +146,25 @@ def test_detector_flags_an_orphaned_helper():
         ["mod.Lonely"]
 
 
+PLANTED_MODULE = ("def used():\n    return 1\n\n"
+                  "def planted():\n    return 2\n")
+
+
+def test_caller_sources_flag_a_helper_only_tests_name(tmp_path):
+    _plant(tmp_path, {
+        "src/pkg/mod.py": PLANTED_MODULE,
+        "scripts/run.py": "from pkg.mod import used\nused()\n",
+        "tests/test_mod.py": "from pkg.mod import planted\nplanted()\n"})
+    assert orphans({"mod": PLANTED_MODULE}, caller_sources(str(tmp_path))) \
+        == ["mod.planted"]
+
+
 def test_no_orphaned_helpers():
     definitions = {}
     for module in MODULES:
         with open(os.path.join(PACKAGE, module)) as fh:
             definitions[module[:-3]] = fh.read()
-    sources = []
-    for path in _python_files():
-        with open(path) as fh:
-            sources.append(fh.read())
-    assert orphans(definitions, sources) == []
+    assert orphans(definitions, caller_sources()) == []
 
 
 def orphaned_members(classes: dict[str, type], sources: list[str]
@@ -203,6 +227,15 @@ def test_detector_flags_an_orphaned_member():
         ["mod._Used.hidden"]
 
 
+def test_caller_sources_flag_a_member_only_tests_name(tmp_path):
+    _plant(tmp_path, {
+        "perfbench/bench.py": "x.shown\ny.read()\n",
+        "tests/test_used.py": "z.hidden\n"})
+    assert orphaned_members({"mod._Used": _Used},
+                            caller_sources(str(tmp_path))) == \
+        ["mod._Used.hidden"]
+
+
 def test_no_orphaned_members():
     classes = {}
     for module in MODULES:
@@ -210,17 +243,13 @@ def test_no_orphaned_members():
         for name, obj in vars(mod).items():
             if inspect.isclass(obj) and obj.__module__ == mod.__name__:
                 classes[f"{module[:-3]}.{name}"] = obj
-    sources = []
-    for path in _python_files():
-        with open(path) as fh:
-            sources.append(fh.read())
-    assert orphaned_members(classes, sources) == []
+    assert orphaned_members(classes, caller_sources()) == []
 
 
 def unraised_errors(errors_source: str, sources: list[str]) -> list[str]:
     """Classes of ``errors_source`` that no class there derives from and
-    that no ``raise`` statement of ``sources`` names.  Test modules import
-    error classes to catch them, so the orphan check cannot see these."""
+    that no ``raise`` statement of ``sources`` names.  Callers name error
+    classes to catch them, so the orphan check cannot see these."""
     classes = [node for node in ast.parse(errors_source).body
                if isinstance(node, ast.ClassDef)]
     bases = {base.id for node in classes for base in node.bases

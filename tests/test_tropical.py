@@ -1,20 +1,17 @@
-"""Tropical types: balancing, universal cones, classification, splittings."""
+"""Tropical types: universal cones, classification, splittings."""
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 
 import pytest
 
 from wallcross.errors import (
-    IncompatibleOutputs,
     RankDeficient,
     TropicalError,
     Unrealizable,
-    VertexInDelta,
 )
-from wallcross.geometry import DivisorTable, build_complex, load_geometry
+from wallcross.geometry import DivisorTable, build_complex
 from wallcross.tropical import (
     Classification,
     Edge,
@@ -24,17 +21,12 @@ from wallcross.tropical import (
     TropicalType,
     Vertex,
     _fm_feasible,
-    balancing_check,
     classify,
-    contact_multiplicity,
-    glue_product_type,
     spine,
     splitting_multiplicity,
-    transverse_check,
     universal_cone,
 )
 
-FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 CONE = (0, 1)
 
 
@@ -91,34 +83,6 @@ def test_rejects_out_of_range_edge():
     with pytest.raises(TropicalError):
         TropicalType(vertices=(origin_vertex(),),
                      edges=(Edge(v=(0, 1), u=(1, 0)),), legs=())
-
-
-# -- balancing ---------------------------------------------------------------
-
-def test_balanced_interior_vertex():
-    cx = quadrant_complex()
-    t = trivial_line_type()
-    assert balancing_check(t, cx) == (True, None)
-
-
-def test_unbalanced_vertex_reported():
-    cx = quadrant_complex()
-    t = TropicalType(vertices=(Vertex(cone=CONE),), edges=(),
-                     legs=(Leg(v=0, u=(1, 0)), Leg(v=0, u=(0, -1))))
-    assert balancing_check(t, cx) == (False, 0)
-
-
-def test_bent_type_is_balanced():
-    cx = quadrant_complex()
-    assert balancing_check(bent_line_type(), cx) == (True, None)
-
-
-def test_vertex_in_singular_locus_rejected():
-    cx = load_geometry(os.path.join(FIXTURES, "blowup_threefold.json"))
-    t = TropicalType(vertices=(Vertex(cone=(0,)),), edges=(),
-                     legs=(Leg(v=0, u=(1, 0, 0)), Leg(v=0, u=(-1, 0, 0))))
-    with pytest.raises(VertexInDelta):
-        balancing_check(t, cx)
 
 
 # -- universal cones ----------------------------------------------------------
@@ -251,41 +215,31 @@ def test_degenerate_line():
     assert (cls.dim_type, cls.dim_out) == (0, 1)
 
 
-# -- product gluing -----------------------------------------------------------
+# -- product types ------------------------------------------------------------
+
+def glued_bent_lines():
+    """Two copies of ``bent_line_type`` grafted at a new vertex 4: their
+    output legs become edges into it, and it carries the output leg of
+    contact order (0, 2), minus the sum (0, -2) of the final exponents."""
+    bend, apex = bent_line_type().vertices
+    return TropicalType(
+        vertices=(bend, apex, bend, apex, Vertex(cone=CONE, A=(0,))),
+        edges=(Edge(v=(1, 0), u=(1, 1)), Edge(v=(3, 2), u=(1, 1)),
+               Edge(v=(0, 4), u=(0, 1)), Edge(v=(2, 4), u=(0, 1))),
+        legs=(Leg(v=0, u=(1, 0), role="in1"),
+              Leg(v=2, u=(1, 0), role="in2"),
+              Leg(v=4, u=(0, 2), role="out")))
+
 
 def test_glue_two_bent_lines_gives_product_type():
     cx = quadrant_complex()
-    t = bent_line_type()
-    glued = glue_product_type(t, t, (0, -2), cx)
-    roles = sorted(l.role for l in glued.legs)
-    assert roles == ["in1", "in2", "out"]
-    assert balancing_check(glued, cx) == (True, None)
-    cls = classify(glued, cx)
+    cls = classify(glued_bent_lines(), cx)
     assert cls.kind == "product"
     assert (cls.dim_type, cls.dim_out) == (2, 2)
 
 
-def test_glue_rejects_wrong_total_direction():
-    cx = quadrant_complex()
-    t = bent_line_type()
-    with pytest.raises(IncompatibleOutputs):
-        glue_product_type(t, t, (1, 1), cx)
-
-
-def test_glue_rejects_missing_out_leg():
-    cx = quadrant_complex()
-    t = bent_line_type()
-    no_out = TropicalType(vertices=t.vertices, edges=t.edges,
-                          legs=(t.legs[0],))
-    with pytest.raises(IncompatibleOutputs):
-        glue_product_type(no_out, t, (0, -2), cx)
-
-
 def test_spine_of_glued_type():
-    cx = quadrant_complex()
-    t = bent_line_type()
-    glued = glue_product_type(t, t, (0, -2), cx)
-    verts, edges, _seq = spine(glued)
+    verts, edges, _seq = spine(glued_bent_lines())
     # the two bends and the new output vertex; wall leaves stripped
     assert verts == (0, 2, 4)
     assert len(edges) == 2
@@ -368,58 +322,3 @@ def test_multiplicity_along_a_ray_stratum():
         pieces, [GluingEdge(ends=((0, 0), (1, 0)), lattice=((1, 1),))], cx)
     assert res.multiplicity == 1
     assert res.rank_ok and res.dimension_formula_ok
-
-
-# -- displaced matchings ------------------------------------------------------
-
-def test_transverse_membership_and_generality():
-    cx = quadrant_complex()
-    pieces = [pinned_piece((1, 0)), pinned_piece((0, 1))]
-    rep = transverse_check(pieces, two_piece_edges(), [(1, 1)], cx)
-    assert rep.member and rep.surjective and rep.nu_general
-
-
-def test_transverse_displacement_off_the_image():
-    cx = quadrant_complex()
-    pieces = [pinned_piece((1, 0)), pinned_piece((1, 0))]
-    rep = transverse_check(pieces, two_piece_edges(), [(0, 1)], cx)
-    assert not rep.member and not rep.surjective and rep.nu_general
-
-
-def test_transverse_special_displacement_flagged():
-    cx = quadrant_complex()
-    pieces = [pinned_piece((1, 0)), pinned_piece((1, 0))]
-    rep = transverse_check(pieces, two_piece_edges(), [(1, 0)], cx)
-    assert rep.member and not rep.surjective and not rep.nu_general
-
-
-def test_transverse_check_eliminates_once(monkeypatch):
-    """Membership and rank come from one elimination of the augmented
-    matching system."""
-    from wallcross import linalg, tropical
-
-    cx = quadrant_complex()
-    pieces = [pinned_piece((1, 0)), pinned_piece((1, 0))]
-    # the universal cones are worked out beforehand, so that every
-    # elimination counted below belongs to the check itself
-    cones = {p.type: universal_cone(p.type, cx) for p in pieces}
-    monkeypatch.setattr(tropical, "universal_cone", lambda t, _cx: cones[t])
-    eliminations = []
-    rref = linalg._rref
-
-    def counting_rref(*args, **kwargs):
-        eliminations.append(args[0])
-        return rref(*args, **kwargs)
-
-    monkeypatch.setattr(linalg, "_rref", counting_rref)
-    rep = transverse_check(pieces, two_piece_edges(), [(1, 0)], cx)
-    assert rep.member and not rep.surjective and not rep.nu_general
-    assert len(eliminations) == 1
-
-
-# -- contact orders -----------------------------------------------------------
-
-def test_contact_multiplicity_with_axis():
-    cx = quadrant_complex()
-    assert contact_multiplicity(cx, CONE, (0,), (3, 5)) == 5
-    assert contact_multiplicity(cx, CONE, (1,), (3, 5)) == 3

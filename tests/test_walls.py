@@ -1,4 +1,4 @@
-"""Wall structure tests: assembly, evaluation, equivalence, crossing, slabs."""
+"""Wall structure tests: assembly, refinement, crossing, slabs."""
 
 from __future__ import annotations
 
@@ -15,13 +15,10 @@ from hypothesis import strategies as st
 from wallcross.errors import (
     ClassInIdeal,
     InadmissibleWallDirection,
-    NonReducedFiber,
-    SingularPoint,
     WallError,
 )
 from wallcross.geometry import (
     DivisorTable,
-    PointInChart,
     build_complex,
     load_geometry,
 )
@@ -33,12 +30,11 @@ from wallcross.walls import (
     WallStructure,
     apply_theta,
     assemble_canonical,
+    check_wall,
     counts_from_json,
     cross_wall,
-    equivalent,
     planar_chambers,
     refine,
-    relative_restrict,
     slab_localize,
     truncation_from_json,
 )
@@ -142,6 +138,23 @@ def test_assembled_wall_error_names_chart_and_support():
         "z^[-1, -1] has nonzero weight -1 on divisor D0")
 
 
+def test_wall_support_must_be_simplicial():
+    """A wall support has n - 1 generators, not just rank n - 1: doubling a
+    generator is rejected by ``check_wall`` and by a walls file."""
+    cx = quadrant_complex()
+    f = quadrant_wall().walls[0].function
+    for support in (((1, 1), (2, 2)), ((1, 1), (1, 1), (3, 3))):
+        with pytest.raises(WallError, match=r"has n-1 = 1 generators, "
+                                            rf"not {len(support)}$"):
+            check_wall(cx, Wall(cone=(0, 1), support=support, function=f))
+    data = quadrant_wall().to_json()
+    data["walls"][0]["support"] = [[1, 1], [2, 2]]
+    with pytest.raises(WallError) as info:
+        WallStructure.from_json(data, cx, T2)
+    assert str(info.value) == ("wall 0 in chart (0, 1): a simplicial wall "
+                               "support has n-1 = 1 generators, not 2")
+
+
 def test_assemble_merges_decorated_entries():
     # two decorated families on the same (support, u, A) aggregate W/|Aut|
     cx = quadrant_complex()
@@ -153,65 +166,6 @@ def test_assemble_merges_decorated_entries():
     assert s.walls[0].function.coefficient((1,), (-1, -1)) == 1
 
 
-# -- evaluation --------------------------------------------------------------
-
-def test_f_at_off_walls_is_one():
-    s = quadrant_wall()
-    x = PointInChart((0, 1), (Fraction(2), Fraction(1)))
-    assert s.f_at(x).is_one()
-
-
-def test_f_at_on_wall_gives_function():
-    s = quadrant_wall()
-    x = PointInChart((0, 1), (Fraction(3), Fraction(3)))
-    assert s.f_at(x) == s.walls[0].function
-
-
-def test_f_at_transversal_crossing_is_singular():
-    cx = quadrant_complex()
-    f1 = RingElement.one((0, 1), T2, 2).add(
-        RingElement.monomial((1,), (-1, -1), 1, (0, 1), T2))
-    f2 = RingElement.one((0, 1), T2, 2).add(
-        RingElement.monomial((1,), (-1, -2), 1, (0, 1), T2))
-    s = WallStructure(complex=cx, trunc=T2, walls=(
-        Wall(cone=(0, 1), support=((1, 1),), function=f1),
-        Wall(cone=(0, 1), support=((1, 2),), function=f2)))
-    with pytest.raises(SingularPoint):
-        s.f_at(PointInChart((0, 1), (Fraction(0), Fraction(0))))
-
-
-# -- equivalence -------------------------------------------------------------
-
-def test_equivalent_ignores_trivial_wall():
-    s = quadrant_wall()
-    one = RingElement.one((0, 1), T2, 2)
-    s2 = s.with_walls(list(s.walls) +
-                      [Wall(cone=(0, 1), support=((1, 2),), function=one)])
-    ok, _ = equivalent(s, s2)
-    assert ok
-
-
-def test_equivalent_square_vs_coincident_pair():
-    s = quadrant_wall()
-    w = s.walls[0]
-    squared = s.with_walls([Wall(w.cone, w.support,
-                                 w.function.mul(w.function))])
-    doubled = s.with_walls([w, Wall(w.cone, w.support, w.function)])
-    ok, _ = equivalent(squared, doubled)
-    assert ok
-
-
-def test_equivalent_detects_higher_order_difference():
-    s1 = quadrant_wall()
-    w = s1.walls[0]
-    f2 = w.function.add(
-        RingElement.monomial((2,), (-2, -2), 1, (0, 1), T2))
-    s2 = s1.with_walls([Wall(w.cone, w.support, f2)])
-    ok, witness = equivalent(s1, s2)
-    assert not ok
-    assert witness is not None
-
-
 # -- refinement --------------------------------------------------------------
 
 def test_refine_merges_coincident_supports():
@@ -221,8 +175,6 @@ def test_refine_merges_coincident_supports():
     r = refine(doubled)
     assert len(r.walls) == 1
     assert r.walls[0].function == w.function.mul(w.function)
-    ok, _ = equivalent(r, doubled)
-    assert ok
 
 
 def test_planar_chambers_of_quadrant():
@@ -260,6 +212,20 @@ def test_cross_wall_negative_pairing_inverts():
          {"A": [1], "m": [1, -1], "c": "-1"},
          {"A": [2], "m": [2, -1], "c": "1"}], (0, 1), T2, 2)
     assert got == expected
+
+
+def test_cross_wall_binomial_terms_for_pairings_one_and_two():
+    """Across 1 + t z^(-1,-1) on the diagonal, from the side of (2, 1), z^m
+    picks up the binomial expansion of the function to the power of m's
+    pairing with the conormal (1, -1); the first term goes straight on."""
+    w = quadrant_wall().walls[0]
+    for m, expected in [
+            ((1, 0), [(((0,), (1, 0)), 1), (((1,), (0, -1)), 1)]),
+            ((2, 0), [(((0,), (2, 0)), 1), (((1,), (1, -1)), 2),
+                      (((2,), (0, -2)), 1)])]:
+        z = RingElement.monomial((0,), m, 1, (0, 1), T2)
+        assert cross_wall(z, w, source_side=(2, 1)).sorted_terms() == \
+            expected
 
 
 def test_cross_wall_round_trip_identity():
@@ -349,49 +315,6 @@ def test_slab_localizations_jointly_injective(slab):
     for i in range(len(images)):
         for j in range(i + 1, len(images)):
             assert images[i] != images[j]
-
-
-# -- relative restriction ----------------------------------------------------
-
-def fibered_threefold():
-    # one maximal cone on three rays; the third ray maps to the base
-    return build_complex(divisors(3, b=(0, 0, 1)), [(0, 1, 2)],
-                         curve_rank=1, relative=True)
-
-
-def make_wall_3d(cx, support, trunc, exponent):
-    f = RingElement.one((0, 1, 2), trunc, 3).add(
-        RingElement.monomial((1,), exponent, 1, (0, 1, 2), trunc))
-    return Wall(cone=(0, 1, 2), support=tuple(support), function=f)
-
-
-def test_relative_restrict_classifies_walls():
-    cx = fibered_threefold()
-    t2 = Truncation.degree(1, 2)
-    vertical = make_wall_3d(cx, [(1, 0, 0), (0, 0, 1)], t2, (1, 0, 0))
-    slanted = make_wall_3d(cx, [(1, 0, 1), (0, 1, 1)], t2, (1, -1, 0))
-    index_two = make_wall_3d(cx, [(1, 0, 0), (0, 1, 2)], t2, (1, 0, 0))
-    s = WallStructure(complex=cx, trunc=t2,
-                      walls=(vertical, slanted, index_two))
-    rr = relative_restrict(s)
-    # only the vertical wall and the index-two wall meet the boundary in
-    # dimension n-2 = 1
-    assert len(rr.asymptotic.walls) == 2
-    assert all(w.support == ((1, 0, 0),) for w in rr.asymptotic.walls)
-    by_support = {w.support: (w, ind) for w, ind in rr.fiber}
-    assert by_support[vertical.support][1] == 1
-    assert by_support[vertical.support][0].function == vertical.function
-    assert by_support[index_two.support][1] == 2
-    assert by_support[index_two.support][0].function == \
-        index_two.function.mul(index_two.function)
-
-
-def test_relative_restrict_requires_reduced_fibers():
-    cx = build_complex(divisors(2, b=(0, 2)), [(0, 1)], curve_rank=1,
-                       relative=True)
-    s = WallStructure(complex=cx, trunc=T2, walls=())
-    with pytest.raises(NonReducedFiber):
-        relative_restrict(s)
 
 
 # -- blowup threefold fixture ------------------------------------------------

@@ -179,6 +179,38 @@ def test_theta_in_cone_of_x_is_monomial_mod_maximal_ideal():
             assert _m == (3, 1)
 
 
+# -- crossing the wall -------------------------------------------------------
+
+def mono(A, m, s, c=1):
+    return RingElement.monomial(A, m, c, CONE, s.trunc)
+
+
+def crossing_terms(z, s):
+    """The terms of z carried across the diagonal wall out of the chamber of
+    (2, 1), each as a monomial, in sorted order."""
+    return [RingElement.monomial(A, e, c, CONE, s.trunc)
+            for (A, e), c in cross_wall(z, s.walls[0], (2, 1)).sorted_terms()]
+
+
+def test_transport_straight_choice():
+    s = quadrant()
+    z = mono((0,), (1, 0), s)
+    assert crossing_terms(z, s)[0] == z
+
+
+def test_transport_two_results_for_pairing_one():
+    s = quadrant()
+    z = mono((0,), (1, 0), s)
+    assert crossing_terms(z, s) == [z, mono((1,), (0, -1), s)]
+
+
+def test_transport_three_results_for_pairing_two():
+    s = quadrant(bound=2)
+    z = mono((0,), (2, 0), s)
+    assert crossing_terms(z, s) == \
+        [z, mono((1,), (1, -1), s, 2), mono((2,), (0, -2), s)]
+
+
 # -- structure constants -----------------------------------------------------
 
 def test_alpha_straight_pair():

@@ -214,20 +214,6 @@ def test_cross_wall_negative_pairing_inverts():
     assert got == expected
 
 
-def test_cross_wall_binomial_terms_for_pairings_one_and_two():
-    """Across 1 + t z^(-1,-1) on the diagonal, from the side of (2, 1), z^m
-    picks up the binomial expansion of the function to the power of m's
-    pairing with the conormal (1, -1); the first term goes straight on."""
-    w = quadrant_wall().walls[0]
-    for m, expected in [
-            ((1, 0), [(((0,), (1, 0)), 1), (((1,), (0, -1)), 1)]),
-            ((2, 0), [(((0,), (2, 0)), 1), (((1,), (1, -1)), 2),
-                      (((2,), (0, -2)), 1)])]:
-        z = RingElement.monomial((0,), m, 1, (0, 1), T2)
-        assert cross_wall(z, w, source_side=(2, 1)).sorted_terms() == \
-            expected
-
-
 def test_cross_wall_round_trip_identity():
     w = ray_wall()
     f = RingElement.from_json(

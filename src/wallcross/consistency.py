@@ -5,8 +5,10 @@ joint that lies inside a maximal cell, consistency is the statement that the
 path-ordered product of crossing automorphisms is the identity; this module
 represents that local picture as a planar scattering diagram with exact
 truncated arithmetic, checks it, and can complete an inconsistent diagram
-order by order.  Codimension-one and -two checks reduce to slab-ring image
-comparisons and theta patching.
+order by order.  On a surface, consistency is checked by theta patching:
+each theta is constant on chamber interiors, intertwined by each wall's
+crossing, and carried across each slab by ``ConeComplex.transport_element``
+times a power of the slab function.
 """
 
 from __future__ import annotations
@@ -30,14 +32,11 @@ from .lattice import IntegerMatrix, smith_row_transform
 from .ring import (RingElement, Truncation, exp_truncated, integer,
                    integer_vector)
 from .walls import (
-    SlabData,
-    SlabRingElement,
     WallStructure,
     apply_theta,
     cross_wall,
     primitive,
     refine,
-    slab_localize,
     truncation_from_json,
     truncation_to_json,
 )
@@ -274,9 +273,14 @@ def default_p_set(s: WallStructure) -> dict:
     return out
 
 
-def _witness(diff: RingElement):
+def _item(name: str, p, location, diff: RingElement) -> PatchingItem:
+    """A passing item when ``diff`` vanishes, else a failing one whose
+    witness is its first term."""
+    if diff.is_zero():
+        return PatchingItem(name, tuple(p), location, "pass")
     (A, m), c = diff.sorted_terms()[0]
-    return {"A": list(A), "m": list(m), "coefficient": str(c)}
+    return PatchingItem(name, tuple(p), location, "fail",
+                        {"A": list(A), "m": list(m), "coefficient": str(c)})
 
 
 def patching_check(s: WallStructure, p_set: dict | None = None,
@@ -285,8 +289,8 @@ def patching_check(s: WallStructure, p_set: dict | None = None,
 
     For each p in the p-set: (1) theta is constant on chamber interiors,
     (2) thetas of adjacent chambers are intertwined by the wall crossing,
-    (3) each slab admits a unique two-sided lift whose localizations
-    reproduce the adjacent thetas.
+    (3) the thetas on the two sides of each slab are carried onto each other
+    across it (``_slab_lift_items``).
     """
     if s.complex.n != 2:
         raise UnsupportedDimension("patching checks need a surface")
@@ -298,14 +302,9 @@ def patching_check(s: WallStructure, p_set: dict | None = None,
     for ch in s.chambers:
         for p in p_set.get(tuple(ch.cone), ()):
             (t1, _), (t2, _) = theta_in_chamber(s, ch, p, seed, seed + 1)
-            diff = t1.sub(t2)
-            loc = (tuple(ch.cone), ch.lower, ch.upper)
-            if diff.is_zero():
-                items.append(PatchingItem("chamber-invariance", tuple(p),
-                                          loc, "pass"))
-            else:
-                items.append(PatchingItem("chamber-invariance", tuple(p),
-                                          loc, "fail", _witness(diff)))
+            items.append(_item("chamber-invariance", p,
+                               (tuple(ch.cone), ch.lower, ch.upper),
+                               t1.sub(t2)))
     # (2) intertwining across interior codim-0 walls
     for w in s.walls:
         if w.rho is not None:
@@ -319,14 +318,8 @@ def patching_check(s: WallStructure, p_set: dict | None = None,
             [(t_src, x_src)] = theta_in_chamber(s, above, p, seed)
             [(t_dst, _)] = theta_in_chamber(s, below, p, seed)
             crossed = cross_wall(t_src, w, source_side=x_src.coords)
-            diff = crossed.sub(t_dst)
-            loc = (tuple(w.cone), ray)
-            if diff.is_zero():
-                items.append(PatchingItem("intertwining", tuple(p), loc,
-                                          "pass"))
-            else:
-                items.append(PatchingItem("intertwining", tuple(p), loc,
-                                          "fail", _witness(diff)))
+            items.append(_item("intertwining", p, (tuple(w.cone), ray),
+                               crossed.sub(t_dst)))
     # (3) slab lifts
     for w in s.walls:
         if w.rho is None:
@@ -349,7 +342,16 @@ def _adjacent_chamber(s, cone, ray, side):
 
 
 def _slab_lift_items(s: WallStructure, w, p_set, seed):
-    """Existence/uniqueness of the two-sided slab lift of each theta."""
+    """Each theta on the two sides of a slab, against the other side's
+    theta carried across it.
+
+    In the chart of the Z+ side u, let e be a term's exponent at the
+    position of the ray off the slab (in the chart of the Z- side u2, the
+    same for u2's ray).  Then theta_u = theta_u[e >= 0] +
+    T(theta_u2[e > 0]) and theta_u2 = theta_u2[e > 0] + T(theta_u[e >= 0]),
+    where T carries t^A z^m across the slab by ``Crossing.monomial`` and
+    multiplies it by f^e, f the slab function in the target chart.
+    """
     cx = s.complex
     side_u = tuple(w.cone)
     crossing = next((c for c in cx.crossings(side_u).values()
@@ -357,9 +359,8 @@ def _slab_lift_items(s: WallStructure, w, p_set, seed):
     if crossing is None:
         return []
     side_u2 = crossing.target
-    slab = SlabData(cx=cx, rho=crossing.rho, side_u=side_u, side_u2=side_u2,
-                    f_slab=w.function)
-    items = []
+    f_u = w.function
+    f_u2 = cx.transport_element(f_u, side_u, side_u2)
     # chart positions of the ray off the slab, then of the slab's ray
     extra_u = crossing.pos
     extra_u2 = cx.crossing_to(side_u2, side_u).pos
@@ -373,43 +374,43 @@ def _slab_lift_items(s: WallStructure, w, p_set, seed):
              or _adjacent_chamber(s, side_u2, ray_u2, "upper"))
     if ch_u is None or ch_u2 is None:
         return []
+    loc = ("slab", crossing.rho)
+    items = []
     for p in p_set.get(side_u, ()):
         [(theta_u, _)] = theta_in_chamber(s, ch_u, p, seed)
         # same global asymptotic direction, evaluated from the far chamber
         p_pic = PointInChart(side_u, [Fraction(c) for c in p], ambient=True)
         [(theta_u2, _)] = theta_in_chamber(s, ch_u2, p_pic, seed)
-        lift = _slab_lift(slab, s.trunc, theta_u, theta_u2,
-                          pos_u, extra_u, pos_u2, extra_u2)
-        img_u = slab_localize(lift, side_u)
-        img_u2 = slab_localize(lift, side_u2)
-        loc = ("slab", crossing.rho)
-        diff = img_u.sub(theta_u)
-        diff2 = img_u2.sub(theta_u2)
-        if diff.is_zero() and diff2.is_zero():
-            items.append(PatchingItem("slab-lift", tuple(p), loc, "pass"))
-        else:
-            bad = diff if not diff.is_zero() else diff2
-            items.append(PatchingItem("slab-lift", tuple(p), loc, "fail",
-                                      _witness(bad)))
+        plus = _from(theta_u, extra_u, 0)       # theta_u[e >= 0]
+        minus = _from(theta_u2, extra_u2, 1)    # theta_u2[e > 0]
+        diff = plus.sub(theta_u).add(
+            _across_slab(cx, minus, extra_u2, side_u, f_u))
+        diff2 = minus.sub(theta_u2).add(
+            _across_slab(cx, plus, extra_u, side_u2, f_u2))
+        items.append(_item("slab-lift", p, loc,
+                           diff if not diff.is_zero() else diff2))
     return items
 
 
-def _slab_lift(slab, trunc, theta_u, theta_u2, pos_u, extra_u,
-               pos_u2, extra_u2) -> SlabRingElement:
-    """The candidate lift: Z+ terms from one side, Z- from the other,
-    tangent terms once."""
-    terms = {}
-    for (A, m), c in theta_u.terms.items():
-        e = m[extra_u]
-        if e >= 0:
-            key = (A, (m[pos_u],), e, 0)
-            terms[key] = terms.get(key, Fraction(0)) + c
-    for (A, m), c in theta_u2.terms.items():
-        e = m[extra_u2]
-        if e > 0:
-            key = (A, (m[pos_u2],), 0, e)
-            terms[key] = terms.get(key, Fraction(0)) + c
-    return SlabRingElement(slab, terms, trunc)
+def _from(g: RingElement, pos: int, least: int) -> RingElement:
+    """The terms of g whose exponent at ``pos`` is at least ``least``."""
+    return RingElement._make({k: c for k, c in g.terms.items()
+                              if k[1][pos] >= least}, g.cone, g.trunc, g.n)
+
+
+def _across_slab(cx: ConeComplex, g: RingElement, pos: int, target,
+                 f: RingElement) -> RingElement:
+    """Each term t^A z^m of g, with e = m[pos] >= 0, carried into the chart
+    ``target`` and multiplied by f^e there."""
+    by_e: dict[int, dict] = {}
+    for key, c in g.terms.items():
+        by_e.setdefault(key[1][pos], {})[key] = c
+    out = RingElement.zero(target, g.trunc, g.n)
+    for e, terms in sorted(by_e.items()):
+        part = RingElement._make(terms, g.cone, g.trunc, g.n)
+        out = out.add(cx.transport_element(part, g.cone, target)
+                      .mul(f.pow_int(e)))
+    return out
 
 
 # -- joint checks ------------------------------------------------------------

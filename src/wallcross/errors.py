@@ -81,10 +81,6 @@ class ClassInIdeal(WallError):
     """A count entry's curve class already lies in the truncation ideal."""
 
 
-class BoundarySlab(WallError):
-    """Slab localization needs both adjacent chambers."""
-
-
 # broken lines --------------------------------------------------------------
 
 class BrokenLineError(WallcrossError):

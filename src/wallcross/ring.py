@@ -402,21 +402,6 @@ def log_unipotent(f: RingElement) -> RingElement:
 # -- stalkwise admissibility -------------------------------------------------
 
 @dataclass(frozen=True)
-class InteriorOfMaxCone:
-    """Location in the interior of a maximal cell: every monomial is fine."""
-
-
-@dataclass(frozen=True)
-class BoundaryCodim1:
-    """Interior of a boundary codimension-one cell; single adjacent chart.
-
-    ``normal``: primitive conormal positive towards the adjacent maximal cell.
-    """
-
-    normal: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class InteriorCodim1:
     """Interior of an interior codimension-one cell, seen from one chart.
 
@@ -428,7 +413,8 @@ class InteriorCodim1:
     kink: tuple[int, ...]
 
 
-def admissible_at(A: Sequence[int], m: Sequence[int], location) -> bool:
+def admissible_at(A: Sequence[int], m: Sequence[int],
+                  location: InteriorCodim1) -> bool:
     """Membership of t^A z^m in the stalk of admissible monomials.
 
     At an interior codimension-one cell the stalk is generated over the cell's
@@ -436,17 +422,8 @@ def admissible_at(A: Sequence[int], m: Sequence[int], location) -> bool:
     pointing out of the chart by delta < 0 steps is admissible precisely when
     A + delta·kink stays effective.
     """
-    if isinstance(location, InteriorOfMaxCone):
-        return all(a >= 0 for a in A)
-    if isinstance(location, BoundaryCodim1):
-        pair = sum(a * b for a, b in zip(location.normal, m))
-        return pair >= 0 and all(a >= 0 for a in A)
-    if isinstance(location, InteriorCodim1):
-        if any(a < 0 for a in A):
-            return False
-        pair = sum(a * b for a, b in zip(location.normal, m))
-        if pair >= 0:
-            return True
-        shifted = [a + pair * k for a, k in zip(A, location.kink)]
-        return all(x >= 0 for x in shifted)
-    raise TypeError(f"unknown location {location!r}")
+    if any(a < 0 for a in A):
+        return False
+    pair = sum(a * b for a, b in zip(location.normal, m))
+    return pair >= 0 or all(a + pair * k >= 0
+                            for a, k in zip(A, location.kink))

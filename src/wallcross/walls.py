@@ -3,10 +3,10 @@
 A wall is a codimension-one rational cone inside a maximal cell, carrying a
 function congruent to 1 modulo the curve-class maximal ideal whose exponents
 are tangent to the support.  Structures are assembled from enumerative count
-data, refined, and crossed by monomial automorphisms.
-Slabs (walls lying inside codimension-one cells of the complex) additionally
-carry a two-sided ring with transversal variables whose product is the wall
-function times the kink class.
+data, refined, and crossed by monomial automorphisms.  A slab is a wall
+lying inside a codimension-one cell of the complex; it is seen from both
+adjacent charts, its function reaching the other one through
+``ConeComplex.transport_element``.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from typing import Iterable, Mapping, Sequence
 
 from . import linalg, ring
 from .errors import (
-    BoundarySlab,
     ClassInIdeal,
     InadmissibleWallDirection,
     UnsupportedDimension,
@@ -437,122 +436,3 @@ def cross_wall(f: RingElement, wall: Wall, source_side: Sequence[int]
     if pairing < 0:
         normal = tuple(-x for x in normal)
     return apply_theta(wall.function, normal, f)
-
-
-# -- slab rings --------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SlabData:
-    """Two-sided presentation of the ring at an interior slab."""
-
-    cx: ConeComplex
-    rho: ConeId
-    side_u: ConeId      # chamber on the Z+ side
-    side_u2: ConeId     # chamber on the Z- side
-    f_slab: RingElement  # in the side_u chart, tangent to rho
-
-    def __post_init__(self):
-        cells = self.cx.max_cones_containing(self.rho)
-        if len(cells) != 2:
-            raise BoundarySlab(f"{self.rho} is not an interior cell")
-        if set((self.side_u, self.side_u2)) != set(map(tuple, cells)):
-            raise WallError("sides must be the two adjacent maximal cones")
-
-
-class SlabRingElement:
-    """Polynomial in the transversals Z+, Z- over the slab's base ring.
-
-    Keys are (A, m_rho, z_plus, z_minus) with m_rho the exponent along the
-    slab (length n-1, coordinates in the sorted rho ray basis); the normal
-    form never keeps both transversal exponents positive, using the relation
-    Z+ Z- = f_slab t^kink.
-    """
-
-    __slots__ = ("slab", "terms", "trunc")
-
-    def __init__(self, slab: SlabData, terms: Mapping, trunc: Truncation):
-        self.slab = slab
-        self.trunc = trunc
-        reduced: dict[tuple, Fraction] = {}
-        pending = [(tuple(k), Fraction(c)) for k, c in terms.items()]
-        base = _slab_base_relation(slab, trunc)
-        while pending:
-            (A, mr, zp, zm), c = pending.pop()
-            if c == 0 or trunc.in_ideal(A):
-                continue
-            if zp > 0 and zm > 0:
-                for (A2, mr2), c2 in base.items():
-                    newA = tuple(a + b for a, b in zip(A, A2))
-                    newm = tuple(a + b for a, b in zip(mr, mr2))
-                    pending.append(((newA, newm, zp - 1, zm - 1), c * c2))
-                continue
-            key = (tuple(A), tuple(mr), zp, zm)
-            reduced[key] = reduced.get(key, Fraction(0)) + c
-        self.terms = {k: v for k, v in reduced.items() if v != 0}
-
-    def __eq__(self, other):
-        return (isinstance(other, SlabRingElement)
-                and self.slab == other.slab and self.terms == other.terms)
-
-    def __repr__(self):
-        return f"SlabRingElement({self.terms!r})"
-
-    @classmethod
-    def monomial(cls, slab: SlabData, trunc: Truncation, A, m_rho,
-                 z_plus: int = 0, z_minus: int = 0,
-                 coeff=1) -> "SlabRingElement":
-        key = (tuple(A), tuple(m_rho), int(z_plus), int(z_minus))
-        return cls(slab, {key: Fraction(coeff)}, trunc)
-
-    def mul(self, other: "SlabRingElement") -> "SlabRingElement":
-        terms: dict[tuple, Fraction] = {}
-        for (A1, m1, p1, q1), c1 in self.terms.items():
-            for (A2, m2, p2, q2), c2 in other.terms.items():
-                key = (tuple(a + b for a, b in zip(A1, A2)),
-                       tuple(a + b for a, b in zip(m1, m2)),
-                       p1 + p2, q1 + q2)
-                terms[key] = terms.get(key, Fraction(0)) + c1 * c2
-        return SlabRingElement(self.slab, terms, self.trunc)
-
-
-def _slab_base_relation(slab: SlabData, trunc: Truncation):
-    """f_slab t^kink as a dict over (A, m_rho) keys."""
-    crossing = slab.cx.crossing_to(slab.side_u, slab.side_u2)
-    out: dict[tuple, Fraction] = {}
-    for (A, m), c in slab.f_slab.terms.items():
-        # tangency to rho means the transversal coordinate vanishes
-        if m[crossing.pos] != 0:
-            raise WallError("slab function must be tangent to the slab")
-        key = (tuple(a + k for a, k in zip(A, crossing.kink)),
-               m[:crossing.pos] + m[crossing.pos + 1:])
-        out[key] = out.get(key, Fraction(0)) + c
-    return out
-
-
-def slab_localize(e: SlabRingElement, side: ConeId) -> RingElement:
-    """Localization of a slab element into one adjacent chamber's ring.
-
-    On the Z+ side: t^A z^m Z+^a Z-^b maps to t^(A+b·kink)
-    z^(m+(a-b)·xi) f_slab^b, where xi is the chart basis vector transversal
-    to the slab; symmetrically with a and b exchanged on the other side.
-    """
-    slab = e.slab
-    cx = slab.cx
-    side = tuple(side)
-    if side not in (slab.side_u, slab.side_u2):
-        raise WallError("side must be one of the slab's chambers")
-    plus_side = side == slab.side_u
-    crossing = cx.crossing_to(side, slab.side_u2 if plus_side
-                              else slab.side_u)
-    f = slab.f_slab
-    if not plus_side:
-        f = cx.transport_element(f, slab.side_u, slab.side_u2)
-    result = RingElement.zero(side, e.trunc, cx.n)
-    for (A, mr, zp, zm), c in sorted(e.terms.items()):
-        count = zm if plus_side else zp
-        steps = zp - zm if plus_side else zm - zp
-        newA = tuple(a + count * k for a, k in zip(A, crossing.kink))
-        m = mr[:crossing.pos] + (steps,) + mr[crossing.pos:]
-        term = RingElement.monomial(newA, m, c, side, e.trunc)
-        result = result.add(term.mul(f.pow_nonneg(count)))
-    return result

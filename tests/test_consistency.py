@@ -25,7 +25,6 @@ from wallcross.consistency import (
     default_p_set,
     identity_around,
     localize_at_joint,
-    ordered_rays,
     patching_check,
     path_ordered,
 )
@@ -40,7 +39,7 @@ from wallcross.geometry import DivisorTable, build_complex
 from wallcross.ring import RingElement, Truncation
 from wallcross.walls import Wall, WallStructure
 
-from tests.test_broken import no_walls, pt, quadrant
+from tests.test_broken import no_walls, quadrant
 
 T12 = Truncation.from_generators(2, ((2, 0), (0, 2)))
 T4 = Truncation.degree(1, 4)

@@ -1,7 +1,8 @@
-"""Source hygiene: no module of the package imports a name it never uses,
-no function imports from the package at call time, no top-level function
-or class of the package goes unnamed outside its definition, and no method
-or property of a package class is never taken as an attribute.
+"""Source hygiene: no module of the package or of the tests imports a name
+it never uses, no function imports from the package at call time, no
+top-level function or class of the package goes unnamed outside its
+definition, and no method or property of a package class is never taken as
+an attribute.
 
 Callers are the package itself, the benchmark and the scripts (``src/``,
 ``perfbench/``, ``scripts/``).  Tests do not count: a definition that only
@@ -23,6 +24,11 @@ PACKAGE = os.path.join(os.path.dirname(__file__), os.pardir, "src",
                        "wallcross")
 MODULES = sorted(f for f in os.listdir(PACKAGE) if f.endswith(".py"))
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+# the package modules by file name, the test modules as tests/<file name>
+IMPORTING = {**{f: os.path.join(PACKAGE, f) for f in MODULES},
+             **{f"tests/{f}": os.path.join(os.path.dirname(__file__), f)
+                for f in os.listdir(os.path.dirname(__file__))
+                if f.endswith(".py")}}
 CALLER_DIRS = ("src", "perfbench", "scripts")
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
@@ -59,9 +65,9 @@ def test_detector_flags_an_unused_import():
     assert unused_imports("from a import b as c\nc()\n") == []
 
 
-@pytest.mark.parametrize("module", MODULES)
+@pytest.mark.parametrize("module", sorted(IMPORTING))
 def test_no_unused_imports(module):
-    with open(os.path.join(PACKAGE, module)) as fh:
+    with open(IMPORTING[module]) as fh:
         assert unused_imports(fh.read()) == []
 
 

@@ -15,7 +15,6 @@ import sys
 from itertools import combinations
 from math import gcd
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

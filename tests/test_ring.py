@@ -15,9 +15,7 @@ from wallcross.errors import (
     TruncationError,
 )
 from wallcross.ring import (
-    BoundaryCodim1,
     InteriorCodim1,
-    InteriorOfMaxCone,
     RingElement,
     Truncation,
     admissible_at,
@@ -227,17 +225,6 @@ def test_transport_drops_classes_in_the_ideal():
 
 
 # -- admissibility -----------------------------------------------------------
-
-def test_admissible_interior_max_cone():
-    assert admissible_at((1,), (5, -7), InteriorOfMaxCone())
-
-
-def test_admissible_boundary_requires_inward():
-    loc = BoundaryCodim1(normal=(0, 1))
-    assert admissible_at((0,), (3, 0), loc)
-    assert admissible_at((0,), (3, 2), loc)
-    assert not admissible_at((0,), (3, -1), loc)
-
 
 def test_admissible_interior_codim1_kink_shift():
     # pairing -1 needs one kink's worth of curve class in stock

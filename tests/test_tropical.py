@@ -13,7 +13,6 @@ from wallcross.errors import (
 )
 from wallcross.geometry import DivisorTable, build_complex
 from wallcross.tropical import (
-    Classification,
     Edge,
     GluingEdge,
     Leg,

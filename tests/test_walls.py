@@ -17,6 +17,7 @@ from wallcross.errors import (
     InadmissibleWallDirection,
     WallError,
 )
+from wallcross.consistency import _across_slab, _from
 from wallcross.geometry import (
     DivisorTable,
     build_complex,
@@ -24,18 +25,14 @@ from wallcross.geometry import (
 )
 from wallcross.ring import RingElement, Truncation
 from wallcross.walls import (
-    SlabData,
-    SlabRingElement,
     Wall,
     WallStructure,
-    apply_theta,
     assemble_canonical,
     check_wall,
     counts_from_json,
     cross_wall,
     planar_chambers,
     refine,
-    slab_localize,
     truncation_from_json,
 )
 
@@ -241,66 +238,58 @@ def test_property_crossing_is_automorphism(spec):
         cross_wall(f, w, (0, 1)).mul(cross_wall(g, w, (0, 1)))
 
 
-# -- slab rings --------------------------------------------------------------
+# -- slab crossing -----------------------------------------------------------
 
-@pytest.fixture
-def slab():
-    cx = two_cell_complex(number=0, kink=(1,))
+SLAB_TERMS = [(0, 0), (2, 0), (0, 1), (1, 2), (-1, 3), (1, -1)]
+
+
+def slab_crossing(number, a, b, target, trunc):
+    """t^0 z^(a,b), b >= 0, carried over the slab 1 + t z^(1,0) of the
+    two-cell complex, in closed form: the transition z^(a,b) ->
+    t^b z^(a-kb,-b) (the same from either chart), times (1 + t z^(1,0))^b."""
+    out = RingElement.zero(target, trunc, 2)
+    for j in range(b + 1):
+        out = out.add(RingElement.monomial(
+            (b + j,), (a - number * b + j, -b), math.comb(b, j), target,
+            trunc))
+    return out
+
+
+def slab_function(chart, trunc):
+    return RingElement.one(chart, trunc, 2).add(
+        RingElement.monomial((1,), (1, 0), 1, chart, trunc))
+
+
+def test_slab_zplus_localizes_to_transversal():
+    """A Z+ term of chart (0,1), with exponent e >= 0 off the slab,
+    reaches chart (0,2) bent by t^e and times the slab function to the e."""
     t3 = Truncation.degree(1, 3)
-    f = RingElement.one((0, 1), t3, 2).add(
-        RingElement.monomial((1,), (1, 0), 1, (0, 1), t3))
-    return SlabData(cx=cx, rho=(0,), side_u=(0, 1), side_u2=(0, 2),
-                    f_slab=f), t3
+    f = slab_function((0, 2), t3)
+    for number in (-1, 0, 1):
+        cx = two_cell_complex(number=number, kink=(1,))
+        for a, b in SLAB_TERMS:
+            plus = _from(RingElement.monomial((0,), (a, b), 1, (0, 1), t3),
+                         1, 0)
+            assert plus.is_zero() == (b < 0)
+            assert _across_slab(cx, plus, 1, (0, 2), f) == \
+                (slab_crossing(number, a, b, (0, 2), t3) if b >= 0
+                 else RingElement.zero((0, 2), t3, 2))
 
 
-def test_slab_zplus_localizes_to_transversal(slab):
-    data, t3 = slab
-    e = SlabRingElement.monomial(data, t3, (0,), (0,), z_plus=1)
-    got = slab_localize(e, (0, 1))
-    assert got == RingElement.monomial((0,), (0, 1), 1, (0, 1), t3)
-
-
-def test_slab_zminus_localizes_with_kink_and_function(slab):
-    data, t3 = slab
-    e = SlabRingElement.monomial(data, t3, (0,), (0,), z_minus=1)
-    got = slab_localize(e, (0, 1))
-    expected = RingElement.monomial((1,), (0, -1), 1, (0, 1), t3).mul(
-        data.f_slab)
-    assert got == expected
-
-
-def test_slab_relation_respected(slab):
-    data, t3 = slab
-    prod = SlabRingElement.monomial(data, t3, (0,), (0,), z_plus=1,
-                                    z_minus=1)
-    # the normal form already rewrote Z+Z- as f t^kink
-    assert all(zp == 0 or zm == 0 for (_, _, zp, zm) in prod.terms)
-    direct = slab_localize(prod, (0, 1))
-    expected = RingElement.monomial((1,), (0, 0), 1, (0, 1), t3).mul(
-        data.f_slab)
-    assert direct == expected
-
-
-def test_slab_localization_is_ring_homomorphism(slab):
-    data, t3 = slab
-    a = SlabRingElement.monomial(data, t3, (1,), (2,), z_plus=1)
-    b = SlabRingElement.monomial(data, t3, (0,), (-1,), z_minus=2, coeff=3)
-    for side in ((0, 1), (0, 2)):
-        assert slab_localize(a.mul(b), side) == \
-            slab_localize(a, side).mul(slab_localize(b, side))
-
-
-def test_slab_localizations_jointly_injective(slab):
-    # distinct normal forms may agree on one side but not on both
-    data, t3 = slab
-    candidates = [
-        SlabRingElement.monomial(data, t3, (0,), (0,), z_plus=a, z_minus=b)
-        for a, b in [(0, 0), (1, 0), (0, 1), (2, 0)]]
-    images = [(slab_localize(e, (0, 1)), slab_localize(e, (0, 2)))
-              for e in candidates]
-    for i in range(len(images)):
-        for j in range(i + 1, len(images)):
-            assert images[i] != images[j]
+def test_slab_zminus_localizes_with_kink_and_function():
+    """A Z- term of chart (0,2), with exponent e > 0 off the slab, reaches
+    chart (0,1) with the kink t^e and the slab function to the e."""
+    t3 = Truncation.degree(1, 3)
+    f = slab_function((0, 1), t3)
+    for number in (-1, 0, 1):
+        cx = two_cell_complex(number=number, kink=(1,))
+        for a, b in SLAB_TERMS:
+            minus = _from(RingElement.monomial((0,), (a, b), 1, (0, 2), t3),
+                          1, 1)
+            assert minus.is_zero() == (b <= 0)
+            assert _across_slab(cx, minus, 1, (0, 1), f) == \
+                (slab_crossing(number, a, b, (0, 1), t3) if b > 0
+                 else RingElement.zero((0, 1), t3, 2))
 
 
 # -- blowup threefold fixture ------------------------------------------------

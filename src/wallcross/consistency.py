@@ -25,12 +25,13 @@ from .errors import (
     ConsistencyError,
     InadmissibleWallDirection,
     NonConvergent,
+    NotUnipotent,
     UnsupportedDimension,
 )
 from .geometry import ConeComplex, PointInChart
 from .lattice import IntegerMatrix, smith_row_transform
-from .ring import (RingElement, Truncation, exp_truncated, integer,
-                   integer_vector)
+from .ring import (Coefficient, RingElement, Truncation, exp_truncated,
+                   integer, integer_vector)
 from .walls import (
     WallStructure,
     apply_theta,
@@ -119,6 +120,10 @@ def _validate_ray(ray: LocalRay, n_exp: int):
                 raise InadmissibleWallDirection(
                     "ray function must be 1 modulo the curve-class ideal")
             continue
+        if not ray.function.trunc.nilpotent(A):
+            # 1 + t^A z^m would have no inverse series: the loop never ends
+            raise NotUnipotent(
+                f"class {list(A)} of exponent {list(m)} is not nilpotent")
         mt = (m[0], m[1])
         # exponents must run along the ray: emitted rays carry incoming
         # (negative) multiples, halves of initial lines may carry either
@@ -163,16 +168,20 @@ def _normal(direction, n_exp: int, sign: int = 1):
 
 
 def path_ordered(inst: LocalInstance, g: RingElement, start: int = 0,
-                 reverse: bool = False) -> RingElement:
+                 reverse: bool = False, *,
+                 cap: int | None = None) -> RingElement:
     """Apply the crossing automorphisms of one full loop to ``g``.
 
     The loop runs counterclockwise; reversal traverses clockwise with the
-    conormals flipped, so a consistent diagram passes either way.
+    conormals flipped, so a consistent diagram passes either way.  With a
+    ``cap``, each crossing keeps only the terms of weight at most ``cap``;
+    those are exact, as every class of a ray function is nilpotent
+    (``_validate_ray``) and so has positive weight.
     """
     sign = -1 if reverse else 1
     for ray in ordered_rays(inst, start=start, reverse=reverse):
         g = apply_theta(ray.function,
-                        _normal(ray.direction, inst.n_exp, sign), g)
+                        _normal(ray.direction, inst.n_exp, sign), g, cap=cap)
     return g
 
 
@@ -320,11 +329,13 @@ def patching_check(s: WallStructure, p_set: dict | None = None,
             crossed = cross_wall(t_src, w, source_side=x_src.coords)
             items.append(_item("intertwining", p, (tuple(w.cone), ray),
                                crossed.sub(t_dst)))
-    # (3) slab lifts
+    # (3) slab lifts, one set per ray carrying slabs
+    slabs: dict[tuple, list] = {}
     for w in s.walls:
-        if w.rho is None:
-            continue
-        items.extend(_slab_lift_items(s, w, p_set, seed))
+        if w.rho is not None:
+            slabs.setdefault(tuple(sorted(w.rho)), []).append(w)
+    for rho, on_rho in slabs.items():
+        items.extend(_slab_lift_items(s, rho, on_rho, p_set, seed))
     passed = all(i.verdict == "pass" for i in items)
     return PatchingReport(passed=passed, items=tuple(items))
 
@@ -341,25 +352,29 @@ def _adjacent_chamber(s, cone, ray, side):
     return None
 
 
-def _slab_lift_items(s: WallStructure, w, p_set, seed):
-    """Each theta on the two sides of a slab, against the other side's
-    theta carried across it.
+def _slab_lift_items(s: WallStructure, rho, on_rho, p_set, seed):
+    """Each theta on the two sides of the ray ``rho``, against the other
+    side's theta carried across it; ``on_rho`` are the slabs on rho.
 
     In the chart of the Z+ side u, let e be a term's exponent at the
     position of the ray off the slab (in the chart of the Z- side u2, the
     same for u2's ray).  Then theta_u = theta_u[e >= 0] +
     T(theta_u2[e > 0]) and theta_u2 = theta_u2[e > 0] + T(theta_u[e >= 0]),
     where T carries t^A z^m across the slab by ``Crossing.monomial`` and
-    multiplies it by f^e, f the slab function in the target chart.
+    multiplies it by f^e, f the product of the slab functions on rho in
+    the target chart, as a broken line crossing rho bends by it
+    (``broken._slab_function``).
     """
     cx = s.complex
-    side_u = tuple(w.cone)
+    side_u = tuple(on_rho[0].cone)
     crossing = next((c for c in cx.crossings(side_u).values()
-                     if c.rho == tuple(sorted(w.rho))), None)
+                     if c.rho == rho), None)
     if crossing is None:
         return []
     side_u2 = crossing.target
-    f_u = w.function
+    f_u = RingElement.one(side_u, s.trunc, cx.n)
+    for w in on_rho:
+        f_u = f_u.mul(cx.transport_element(w.function, w.cone, side_u))
     f_u2 = cx.transport_element(f_u, side_u, side_u2)
     # chart positions of the ray off the slab, then of the slab's ray
     extra_u = crossing.pos
@@ -576,13 +591,52 @@ def _merge_ray(rays: list[LocalRay], direction, factor: RingElement):
     rays.append(LocalRay(direction=tuple(direction), function=factor))
 
 
-def _discrepancy(inst: LocalInstance, g: RingElement) -> RingElement:
+def _discrepancy(inst: LocalInstance, g: RingElement,
+                 w: int) -> RingElement:
+    """theta(g)·g^(-1) - 1 through weight w, for the loop theta and a
+    monomial g."""
     zero_A = (0,) * inst.trunc.curve_rank
     gm = next(iter(g.terms))[1]
     inv = RingElement.monomial(zero_A, tuple(-x for x in gm), 1,
                                LOCAL_CHART, inst.trunc)
-    return path_ordered(inst, g).mul(inv).sub(
+    return path_ordered(inst, g, cap=w).mul(inv).sub(
         RingElement.one(LOCAL_CHART, inst.trunc, inst.n_exp))
+
+
+def _failing(inst: LocalInstance, w: int) -> dict:
+    """The weight-w terms t^A z^m of the loop's discrepancy, each with the
+    first of z^(e1), z^(e2) whose discrepancy carries it and the coefficient
+    there; ``NonConvergent`` if a lower weight fails.
+
+    At the first failing weight D_(-e) = -D_e, since the loop is a ring
+    automorphism and so takes z^(-e) to the inverse of its image of z^e:
+    the discrepancies of z^(-e1) and z^(-e2) hold no other term.
+    """
+    failing = {}
+    for g in generators(inst)[::2]:
+        for (A, m), c in _discrepancy(inst, g, w).terms.items():
+            weight = inst.trunc.weight_of(A)
+            if weight < w:
+                raise NonConvergent(
+                    f"completion did not settle at weight {weight}")
+            failing.setdefault((A, m), (g, c))
+    return failing
+
+
+def _response(inst: LocalInstance, A, m, direction, g: RingElement,
+              w: int) -> Coefficient:
+    """The change that a factor exp(t^A z^m) on the ray ``direction`` makes
+    to g's discrepancy at t^A z^m, of weight w, once lower weights vanish.
+
+    Any other crossing on the loop adds positive weight to that factor's
+    terms, so the change is the coefficient of t^A z^(m+e) in the factor's
+    one crossing of g = z^e.
+    """
+    e = next(iter(g.terms))[1]
+    factor = exp_truncated(RingElement.monomial(A, m, 1, LOCAL_CHART,
+                                                inst.trunc))
+    crossed = apply_theta(factor, _normal(direction, inst.n_exp), g, cap=w)
+    return crossed.coefficient(A, tuple(a + b for a, b in zip(m, e)))
 
 
 def _order_key(key):
@@ -597,12 +651,14 @@ def complete_codim0(inst: LocalInstance,
     """Insert outgoing rays until the loop is the identity, order by order.
 
     Deterministic: lowest curve-class weight first, then angular order of
-    the emitted directions.  Once the loop is the identity below weight w,
-    a factor t^A z^m of weight w changes its weight-w part only in the term
-    t^A z^m.  So each weight takes one discrepancy per generator and one
-    probe instance holding a factor for every failing term; each
-    coefficient is solved for exactly from that linear response, so the
-    sign conventions of the crossing automorphism are never hard-coded.
+    the emitted directions.  Each weight w takes two loops, on z^(e1) and
+    z^(e2), each capped at weight w (``_failing``).  Once the loop is the
+    identity below weight w, a factor exp(c t^A z^m) of weight w changes
+    its weight-w part only in the term t^A z^m, by c times the response of
+    one crossing (``_response``); each coefficient is solved for exactly
+    from that response, so the sign conventions of the crossing
+    automorphism are never hard-coded.  The final check runs all four
+    generators at the full truncation.
     """
     if max_weight is None:
         max_weight = inst.trunc.max_weight()
@@ -612,34 +668,17 @@ def complete_codim0(inst: LocalInstance,
             f"{inst.trunc.max_weight()}")
     trunc = inst.trunc
     rays = list(inst.rays)
-    gens = generators(inst)
     for w in range(1, max_weight + 1):
         cur = replace(inst, rays=tuple(rays))
-        failing = {}
-        for g in gens:
-            for (A, m), c in _discrepancy(cur, g).terms.items():
-                weight = trunc.weight_of(A)
-                if weight < w:
-                    raise NonConvergent(
-                        f"completion did not settle at weight {weight}")
-                if weight == w:
-                    failing.setdefault((A, m), []).append((g, c))
+        failing = _failing(cur, w)
         keys = sorted(failing, key=_order_key)
         # each term before the first one without a transverse part
         emit = [(A, m, primitive((-m[0], -m[1]))) for A, m in
                 takewhile(lambda key: any(key[1][:2]), keys)]
-        probe_rays = list(rays)
-        for A, m, direction in emit:
-            _merge_ray(probe_rays, direction, exp_truncated(
-                RingElement.monomial(A, m, 1, LOCAL_CHART, trunc)))
-        probe = replace(inst, rays=tuple(probe_rays))
-        responses = {}
         factors = []
         for A, m, direction in emit:
-            g0, eps0 = failing[(A, m)][0]
-            if g0 not in responses:
-                responses[g0] = _discrepancy(probe, g0)
-            denom = responses[g0].coefficient(A, m) - eps0
+            g0, eps0 = failing[(A, m)]
+            denom = _response(cur, A, m, direction, g0, w)
             if denom == 0:
                 raise NonConvergent(
                     f"no ray along {direction} can absorb t^{list(A)} "

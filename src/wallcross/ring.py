@@ -94,6 +94,16 @@ class Truncation:
             return sum(w * a for w, a in zip(self.weights, A))
         return sum(A)
 
+    def nilpotent(self, A: Sequence[int]) -> bool:
+        """Whether t^A is nilpotent modulo the ideal: A has positive weight
+        under a degree cutoff, and is nonnegative and nonzero under
+        generators.  A series in such classes is finite, and capping a
+        product at a weight (``_product_by_exponent``) drops no term that a
+        later product could bring back below the cap."""
+        if self.weights is None and min(A) < 0:
+            return False
+        return self.weight_of(A) > 0
+
     def max_weight(self) -> int:
         """A weight beyond which every class lies in the ideal."""
         if self.weights is not None:
@@ -316,20 +326,22 @@ def _coeff(c) -> Coefficient:
 
 
 def _product_by_exponent(f: RingElement,
-                        factor: Callable[[Exponent], RingElement]
-                        ) -> RingElement:
-    """The sum of c·t^A z^m·factor(m) over the terms of f, truncated.
+                        factor: Callable[[Exponent], RingElement],
+                        cap: int | None = None) -> RingElement:
+    """The sum of c·t^A z^m·factor(m) over the terms of f, truncated, and
+    without the classes of weight above ``cap`` when one is given.
 
     Under a degree truncation each factor's terms are walked lightest
     first, and the walk stops at the first class that would land in the
-    ideal, so no dropped pair is ever formed; a generator truncation tests
-    each product class.
+    ideal or above the cap, so no dropped pair is ever formed; a generator
+    truncation tests each product class.
     """
     trunc = f.trunc
     terms: dict[TermKey, Coefficient] = {}
     get = terms.get
     if trunc.weights is not None:
-        weights, bound = trunc.weights, trunc.bound
+        weights = trunc.weights
+        bound = trunc.bound if cap is None else min(trunc.bound, cap)
         for (A1, m1), c1 in f.terms.items():
             room = bound - sum(map(operator.mul, weights, A1))
             for w2, A2, m2, c2 in factor(m1)._by_weight():
@@ -343,7 +355,7 @@ def _product_by_exponent(f: RingElement,
         for (A1, m1), c1 in f.terms.items():
             for (A2, m2), c2 in factor(m1).terms.items():
                 A = tuple(map(operator.add, A1, A2))
-                if not in_ideal(A):
+                if not in_ideal(A) and (cap is None or sum(A) <= cap):
                     key = (A, tuple(map(operator.add, m1, m2)))
                     terms[key] = get(key, 0) + c1 * c2
     return RingElement._make(terms, f.cone, trunc, f.n)
@@ -351,7 +363,8 @@ def _product_by_exponent(f: RingElement,
 
 def _series(start: RingElement, g: RingElement,
             coeff: Callable[[int], Coefficient]) -> RingElement:
-    """start + sum over k >= 1 of coeff(k)·g^k, finite for nilpotent g."""
+    """start + sum over k >= 1 of coeff(k)·g^k, finite for nilpotent g
+    (``_not_nilpotent``)."""
     result = start
     power = g
     k = 1
@@ -362,9 +375,13 @@ def _series(start: RingElement, g: RingElement,
     return result
 
 
-def _has_constant_class(g: RingElement) -> bool:
-    zero_class = (0,) * g.trunc.curve_rank
-    return any(A == zero_class for (A, _m) in g.terms)
+def _not_nilpotent(g: RingElement) -> str | None:
+    """Why the series in g would never end: its first class that is not
+    nilpotent (``Truncation.nilpotent``), or None if there is none."""
+    for A, _m in g.terms:
+        if not g.trunc.nilpotent(A):
+            return f"class {list(A)} is not nilpotent"
+    return None
 
 
 def _unipotent_part(f: RingElement, operation: str) -> RingElement:
@@ -372,15 +389,17 @@ def _unipotent_part(f: RingElement, operation: str) -> RingElement:
     if f.constant_coefficient() != 1:
         raise NotUnipotent(f"{operation} requires constant term 1")
     g = f.sub(RingElement.one(f.cone, f.trunc, f.n))
-    if _has_constant_class(g):
-        raise NotUnipotent("constant-class non-unit part present")
+    reason = _not_nilpotent(g)
+    if reason is not None:
+        raise NotUnipotent(f"{operation}: {reason}")
     return g
 
 
 def exp_truncated(g: RingElement) -> RingElement:
     """exp(g) = sum g^k / k!, finite because g is nilpotent mod truncation."""
-    if _has_constant_class(g):
-        raise NonNilpotentArgument("exp argument has a constant-class term")
+    reason = _not_nilpotent(g)
+    if reason is not None:
+        raise NonNilpotentArgument(f"exp: {reason}")
     return _series(RingElement.one(g.cone, g.trunc, g.n), g,
                    lambda k: Fraction(1, factorial(k)))
 

@@ -412,12 +412,13 @@ def planar_chambers(s: WallStructure) -> tuple[Chamber, ...]:
 # -- crossing ----------------------------------------------------------------
 
 def apply_theta(f_wall: RingElement, normal: Sequence[int],
-                f: RingElement) -> RingElement:
-    """The crossing automorphism z^m -> f_wall^<normal, m> z^m applied to f."""
+                f: RingElement, *, cap: int | None = None) -> RingElement:
+    """The crossing automorphism z^m -> f_wall^<normal, m> z^m applied to f;
+    with a ``cap``, only its terms of weight at most ``cap``."""
     if f.terms:
         f_wall._check_compatible(f)
     return _product_by_exponent(
-        f, lambda m: f_wall.pow_int(sum(map(operator.mul, normal, m))))
+        f, lambda m: f_wall.pow_int(sum(map(operator.mul, normal, m))), cap)
 
 
 def cross_wall(f: RingElement, wall: Wall, source_side: Sequence[int]

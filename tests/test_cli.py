@@ -6,6 +6,9 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +17,7 @@ from hypothesis import strategies as st
 from wallcross.cli import main
 from wallcross.consistency import LocalInstance
 from wallcross.geometry import geometry_to_json, load_geometry
+from wallcross.ring import Truncation
 from wallcross.walls import WallStructure, truncation_from_json, \
     truncation_to_json
 
@@ -353,6 +357,27 @@ def test_scatter_beyond_truncation_fails(tmp_path, capsys):
                        "--max-weight", "9")
     assert code == 1
     assert json.loads(err)["error"] == "NonConvergent"
+
+
+def test_scatter_rejects_a_class_of_non_positive_weight(tmp_path):
+    """The ray term t^(-1) z^(-1,0) has powers of ever lower weight, so its
+    inverse series never ends: the instance exits 1 at once.  Run in a
+    child, so that a hang fails within the budget."""
+    trunc = truncation_to_json(Truncation.degree(1, 3))
+    function = [{"A": [0], "m": [0, 0], "c": "1"},
+                {"A": [-1], "m": [-1, 0], "c": "1"}]
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({"trunc": trunc, "rays": [
+        {"direction": [1, 0], "function": function}]}))
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "wallcross.cli", "scatter", "--instance",
+         str(path)], env=env, capture_output=True, text=True, timeout=2)
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 1
+    assert json.loads(proc.stderr)["error"] == "NotUnipotent"
 
 
 # -- tropical -----------------------------------------------------------------

@@ -361,8 +361,8 @@ def test_completion_matches_gps_closed_form_at_weight_ten(shared):
 def test_completion_computes_each_power_once_and_one_pass_per_weight(
         monkeypatch):
     """Every (element, exponent) power is computed once per completion, and
-    each weight takes at most eight loops: one discrepancy and one probe
-    response per generator."""
+    each weight takes at most two loops, one discrepancy each for z^(e1)
+    and z^(e2), and the final check four, one per generator."""
     weight = 6
     powers, keep = Counter(), []
     loops = []
@@ -390,7 +390,7 @@ def test_completion_computes_each_power_once_and_one_pass_per_weight(
     done = complete_codim0(inst, max_weight=weight)
     assert len(done.rays) > len(inst.rays)
     assert powers and max(powers.values()) == 1
-    assert len(loops) <= 8 * weight + 4
+    assert len(loops) <= 2 * weight + 4
 
 
 def _load_script(name):

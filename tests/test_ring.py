@@ -144,6 +144,27 @@ def test_invert_requires_unipotent():
         invert(mono((0,), (1, 0)))
 
 
+def test_series_need_nilpotent_classes():
+    """A class of weight <= 0 under a degree cutoff, or with a negative
+    entry under generators, has powers that never reach the ideal: exp,
+    inversion and log refuse it instead of summing forever."""
+    t11 = Truncation.degree(2, 3, weights=(1, 1))
+    gens = Truncation.from_generators(2, [(2, 0), (0, 2)])
+    for trunc, A in ((T3, (-1,)), (t11, (1, -1)), (gens, (1, -1))):
+        g = mono(A, (1, 0), 1, trunc)
+        with pytest.raises(NonNilpotentArgument):
+            exp_truncated(g)
+        with pytest.raises(NotUnipotent):
+            invert(one(trunc).add(g))
+        with pytest.raises(NotUnipotent):
+            log_unipotent(one(trunc).add(g))
+    # (2, -1) has weight 1 at weights (1, 1): nilpotent, so accepted
+    f = one(t11).add(mono((2, -1), (1, 0), 1, t11))
+    assert invert(f).mul(f) == one(t11)
+    assert log_unipotent(exp_truncated(mono((2, -1), (1, 0), 1, t11))) \
+        == mono((2, -1), (1, 0), 1, t11)
+
+
 # -- logarithm ---------------------------------------------------------------
 
 @pytest.mark.parametrize("bound", [1, 2, 3, 6])

@@ -1,0 +1,125 @@
+"""Each scattering order from two weight-capped loops, against the loops it
+replaces.
+
+At weight w, ``complete_codim0`` reads the loop's discrepancy from z^(e1)
+and z^(e2) alone, each loop capped at weight w, and solves each emitted
+coefficient from one crossing of one monomial.  On seeded instances of
+every benchmark shape, with one shared parameter and with two, each piece
+is compared at every weight with what it replaces, composed from plain
+dicts by ``oracle_loop``: the discrepancy at the full truncation for all
+four generators, and the response of a probe instance that carries a
+factor exp(t^A z^m) for every failing term.
+"""
+
+from __future__ import annotations
+
+import random
+from dataclasses import replace
+from fractions import Fraction
+from math import factorial
+
+import pytest
+
+from wallcross import consistency
+from wallcross.consistency import (LOCAL_CHART, LocalRay, complete_codim0,
+                                   generators)
+from wallcross.ring import RingElement
+from wallcross.walls import primitive
+
+from perfbench.workloads import SCATTER_CLASSES, two_lines
+from tests.test_consistency import oracle_is_identity, oracle_loop
+
+# the exponents of ``generators``, in its order
+E = ((1, 0), (-1, 0), (0, 1), (0, -1))
+
+
+def seeded_instances():
+    """Every full benchmark shape with random two-digit coefficients, and
+    the same with only the halves along e1 and e2, whose discrepancy fails
+    for one generator only at the first weight."""
+    rng = random.Random(19)
+    cases = []
+    for l1, l2, w in SCATTER_CLASSES["full"]:
+        for shared in (True, False):
+            c1, c2 = (rng.choice((1, -1)) * rng.randint(10, 99)
+                      for _ in range(2))
+            inst = two_lines(l1, l2, shared, c1, c2, w)
+            label = f"{l1}-{l2}-w{w}-{'t' if shared else 't1t2'}"
+            cases.append(pytest.param(inst, id=label + "-lines"))
+            halves = replace(inst, rays=tuple(
+                r for r in inst.rays if min(r.direction) >= 0))
+            cases.append(pytest.param(halves, id=label + "-halves"))
+    return cases
+
+
+def oracle_discrepancy(inst, e) -> dict:
+    """theta(z^e) z^(-e) - 1 at the full truncation, from ``oracle_loop``."""
+    out = {}
+    for (A, m), c in oracle_loop(inst, e).items():
+        out[(A, (m[0] - e[0], m[1] - e[1]))] = c
+    one = ((0,) * inst.trunc.curve_rank, (0, 0))
+    out[one] = out.get(one, 0) - 1
+    return {k: c for k, c in out.items() if c}
+
+
+def probe(inst, emit):
+    """``inst`` with a factor exp(t^A z^m) on the ray primitive(-m) for each
+    emitted (A, m), multiplied into a ray of that direction if it has one."""
+    trunc = inst.trunc
+    rays = list(inst.rays)
+    for A, m in emit:
+        direction = primitive((-m[0], -m[1]))
+        exp = RingElement(
+            {(tuple(k * a for a in A), tuple(k * x for x in m)):
+             Fraction(1, factorial(k))
+             for k in range(trunc.max_weight() + 1)},
+            LOCAL_CHART, trunc, 2)
+        i = next((i for i, r in enumerate(rays)
+                  if r.direction == direction), None)
+        if i is None:
+            rays.append(LocalRay(direction, exp))
+        else:
+            rays[i] = LocalRay(direction, rays[i].function.mul(exp))
+    return replace(inst, rays=tuple(rays))
+
+
+@pytest.mark.parametrize("inst", seeded_instances())
+def test_each_order_from_two_capped_loops_and_one_crossing(inst):
+    trunc = inst.trunc
+    weight = trunc.max_weight()
+    cur = inst
+    for w in range(1, weight + 1):
+        full = {e: oracle_discrepancy(cur, e) for e in E}
+        upto = {e: {k: c for k, c in d.items()
+                    if trunc.weight_of(k[0]) <= w} for e, d in full.items()}
+        # the capped discrepancy is the full one through weight w
+        for g, e in zip(generators(cur), E):
+            assert consistency._discrepancy(cur, g, w).terms == upto[e], \
+                (w, e)
+        # D_(-e) = -D_e at the first failing weight
+        for e, minus_e in ((E[0], E[1]), (E[2], E[3])):
+            assert upto[minus_e] == {k: -c for k, c in upto[e].items()}, \
+                (w, e)
+        # the failing terms, each with the first of the four generators
+        # whose discrepancy carries it
+        expected = {}
+        for e in E:
+            for key, c in upto[e].items():
+                assert trunc.weight_of(key[0]) == w
+                expected.setdefault(key, (e, c))
+        failing = consistency._failing(cur, w)
+        assert {key: (next(iter(g.terms))[1], c)
+                for key, (g, c) in failing.items()} == expected, w
+        # one crossing of one monomial against the probe instance
+        emit = sorted(key for key in failing if any(key[1]))
+        responses = {}
+        for A, m in emit:
+            g0, eps0 = failing[(A, m)]
+            e = next(iter(g0.terms))[1]
+            if e not in responses:
+                responses[e] = oracle_discrepancy(probe(cur, emit), e)
+            direction = primitive((-m[0], -m[1]))
+            assert consistency._response(cur, A, m, direction, g0, w) \
+                == responses[e].get((A, m), 0) - eps0, (w, A, m)
+        cur = complete_codim0(inst, max_weight=w)
+    assert oracle_is_identity(cur)

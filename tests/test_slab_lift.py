@@ -5,6 +5,7 @@
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from wallcross.geometry import PointInChart
 from wallcross.ring import RingElement
 from wallcross.walls import Wall
 
-from tests.test_broken import ray_exponent, toric_cycle
+from tests.test_broken import ray_exponent, toric_cycle, two_cell
 
 K = 5
 
@@ -77,6 +78,36 @@ def test_pentagon_passes_every_slab_lift():
 def test_squared_slab_fails_its_slab_lift():
     report = patching_check(pentagon(4, squared=True))
     assert not report.passed
+    failure = report.first_failure()
+    assert failure.name == "slab-lift"
+    assert failure.location == ("slab", (0,))
+
+
+def test_slabs_on_one_ray_lift_as_their_product():
+    """1 + t z^(1,0) stored in each chart of the two-cell complex: a broken
+    line crosses the ray by the product of the two, so the slab lift does
+    too, in one item per p, as for the product stored as one wall."""
+    two = patching_check(two_cell(0, [((0, 1), (1,), (1, 0)),
+                                      ((0, 2), (1,), (1, 0))]))
+    one = two_cell(0, [((0, 1), (1,), (1, 0))])
+    [w] = one.walls
+    product = patching_check(one.with_walls(
+        [replace(w, function=w.function.mul(w.function))]))
+    assert two.passed
+    assert two == product
+    assert len([i for i in two.items if i.name == "slab-lift"]) == 5
+
+
+def test_slab_lift_transports_each_slab_into_one_chart():
+    """Slab 0 of the pentagon stored in its other chart (0, 4) passes; stored
+    in both charts, the ray carries its square and fails at its slab."""
+    s = pentagon(4)
+    w0 = s.walls[0]
+    moved = Wall(cone=(0, 4), support=((1, 0),), rho=(0,),
+                 function=s.complex.transport_element(w0.function, w0.cone,
+                                                      (0, 4)))
+    assert patching_check(s.with_walls((moved,) + s.walls[1:])).passed
+    report = patching_check(s.with_walls(s.walls + (moved,)))
     failure = report.first_failure()
     assert failure.name == "slab-lift"
     assert failure.location == ("slab", (0,))

@@ -35,7 +35,7 @@ from .errors import (
     UnsupportedDimension,
     WallError,
 )
-from .geometry import GenericPointSampler, PointInChart
+from .geometry import PointInChart
 from .linalg import det
 from .ring import RingElement, Truncation
 from .tropical import Edge, Leg, TropicalType, Vertex
@@ -244,8 +244,7 @@ def _numerators(x: PointInChart):
     return tuple(c.numerator * (den // c.denominator) for c in x.coords), den
 
 
-def _ensure_generic(s: WallStructure, x: PointInChart, candidates,
-                    seed: int = 0):
+def _ensure_generic(s: WallStructure, x: PointInChart, candidates):
     """Raise ``NonGenericEndpoint`` unless x is in the open cone and off
     every genericity hyperplane, tested on the integer multiple
     lcm(denominators)·x."""
@@ -254,15 +253,11 @@ def _ensure_generic(s: WallStructure, x: PointInChart, candidates,
         raise NonGenericEndpoint(
             f"endpoint in chart {x.cone} must lie in the open chamber "
             "interior")
-    hps = genericity_hyperplanes(s, x.cone, candidates)
-    for h in hps:
+    for h in genericity_hyperplanes(s, x.cone, candidates):
         if _dot(h, xs) == 0:
-            sampler = GenericPointSampler(seed)
-            suggestion = sampler.sample(x.cone, len(x.coords), hps,
-                                        base=x.coords)
             raise NonGenericEndpoint(
                 f"endpoint in chart {x.cone} lies on the hyperplane {h}",
-                hyperplane=h, suggestion=suggestion)
+                hyperplane=h)
 
 
 # -- enumeration -------------------------------------------------------------
@@ -465,12 +460,12 @@ def _asymptotic(s: WallStructure, p, cone):
 
 
 def enumerate_lines(s: WallStructure, p, x: PointInChart,
-                    decorated: bool = False, seed: int = 0):
+                    decorated: bool = False):
     """All broken lines with asymptotic exponent p and endpoint x."""
-    return _lines(s, _asymptotic(s, p, x.cone), x, decorated, seed)
+    return _lines(s, _asymptotic(s, p, x.cone), x, decorated)
 
 
-def _lines(s: WallStructure, asymptotic, x: PointInChart, decorated, seed):
+def _lines(s: WallStructure, asymptotic, x: PointInChart, decorated):
     """``enumerate_lines`` given the result of ``_asymptotic``."""
     p_cone, p_vec, candidates = asymptotic
     if not any(p_vec):
@@ -480,7 +475,7 @@ def _lines(s: WallStructure, asymptotic, x: PointInChart, decorated, seed):
             "the asymptotic exponent must lie in its chart cone")
 
     def compute():
-        _ensure_generic(s, x, candidates, seed=seed)
+        _ensure_generic(s, x, candidates)
         return _trace_family(s, asymptotic, x, decorated)
 
     return list(_kept(s, ("lines", p_cone, p_vec, x, decorated), compute))
@@ -518,19 +513,18 @@ def _trace_family(s: WallStructure, asymptotic, x: PointInChart, decorated):
     return tuple(raw)
 
 
-def theta(s: WallStructure, p, x: PointInChart,
-          seed: int = 0) -> RingElement:
+def theta(s: WallStructure, p, x: PointInChart) -> RingElement:
     """Sum of final monomials of all broken lines for (p, x)."""
-    return _theta(s, _asymptotic(s, p, x.cone), x, seed)
+    return _theta(s, _asymptotic(s, p, x.cone), x)
 
 
-def _theta(s: WallStructure, asymptotic, x: PointInChart, seed):
+def _theta(s: WallStructure, asymptotic, x: PointInChart):
     """``theta`` given the result of ``_asymptotic``."""
     cx, trunc = s.complex, s.trunc
     if not any(asymptotic[1]):
         return RingElement.one(tuple(x.cone), trunc, cx.n)
     total = RingElement.zero(tuple(x.cone), trunc, cx.n)
-    for line in _lines(s, asymptotic, x, False, seed):
+    for line in _lines(s, asymptotic, x, False):
         total = total.add(line.monomial(trunc))
     return total
 
@@ -540,7 +534,7 @@ def theta_in_chamber(s: WallStructure, ch: Chamber, p, *seeds):
     seed; each point is generic for p's candidate monomials."""
     asymptotic = _asymptotic(s, p, ch.cone)
     xs = [_sample_in_chamber(s, ch, asymptotic[2], seed) for seed in seeds]
-    return [(_theta(s, asymptotic, x, 0), x) for x in xs]
+    return [(_theta(s, asymptotic, x), x) for x in xs]
 
 
 # -- structure constants -----------------------------------------------------
@@ -618,9 +612,9 @@ def alpha_trop(s: WallStructure, p1, p2, r, seed: int = 0,
     asym1 = _asymptotic(s, p1, ch.cone)
     asym2 = _asymptotic(s, p2, ch.cone)
     x = _sample_in_chamber(s, ch, asym1[2] | asym2[2], seed)
-    lines1 = _lines(s, asym1, x, False, seed)
+    lines1 = _lines(s, asym1, x, False)
     by_exponent = {}
-    for l2 in _lines(s, asym2, x, False, seed):
+    for l2 in _lines(s, asym2, x, False):
         by_exponent.setdefault(l2.m_beta, []).append(l2)
     # the coefficient of t^A: products over the pairs with exponent sum r
     coeffs = {}

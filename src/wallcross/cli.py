@@ -56,6 +56,16 @@ def _vector(text):
                  .split(","))
 
 
+def _point(args, name, n):
+    """The vector of the option ``--name``, which must have n entries."""
+    text = getattr(args, name)
+    v = _vector(text)
+    if len(v) != n:
+        raise ValueError(f"--{name} {text} has length {len(v)}, not the "
+                         f"dimension {n} of the complex")
+    return v
+
+
 def _structure(args) -> WallStructure:
     cx = load_geometry(args.geometry)
     trunc = truncation_from_json(_load_json(args.truncation))
@@ -130,35 +140,42 @@ def _cmd_walls(args):
     return 0
 
 
+def _p_and_x(args, cx):
+    """``--p`` and ``--x``, the endpoint x in the chart of ``--chart``."""
+    x = _point(args, "x", cx.n)
+    return _point(args, "p", cx.n), x, PointInChart(_chart(args, cx), x,
+                                                    ambient=True)
+
+
 def _cmd_theta(args):
     s = _structure(args)
-    x = PointInChart(_chart(args, s.complex), _vector(args.x), ambient=True)
-    value = theta(s, _vector(args.p), x, seed=args.seed)
-    _emit(args, {"schema": SCHEMA, "seed": args.seed, "p": list(_vector(args.p)),
-                 "x": list(_vector(args.x)), "chart": list(x.cone),
+    p, xv, x = _p_and_x(args, s.complex)
+    value = theta(s, p, x)
+    _emit(args, {"schema": SCHEMA, "seed": args.seed, "p": list(p),
+                 "x": list(xv), "chart": list(x.cone),
                  "theta": value.to_json()})
     return 0
 
 
 def _cmd_broken_lines(args):
     s = _structure(args)
-    x = PointInChart(_chart(args, s.complex), _vector(args.x), ambient=True)
-    lines = enumerate_lines(s, _vector(args.p), x, decorated=args.decorated,
-                            seed=args.seed)
+    p, xv, x = _p_and_x(args, s.complex)
+    lines = enumerate_lines(s, p, x, decorated=args.decorated)
     payload = [_line_json(d.line if args.decorated else d) for d in lines]
     _emit(args, {"schema": SCHEMA, "seed": args.seed,
-                 "p": list(_vector(args.p)), "x": list(_vector(args.x)),
+                 "p": list(p), "x": list(xv),
                  "decorated": bool(args.decorated), "lines": payload})
     return 0
 
 
 def _cmd_alpha(args):
     s = _structure(args)
-    res = alpha_trop(s, _vector(args.p1), _vector(args.p2), _vector(args.r),
-                     seed=args.seed)
+    p1, p2, r = (_point(args, name, s.complex.n)
+                 for name in ("p1", "p2", "r"))
+    res = alpha_trop(s, p1, p2, r, seed=args.seed)
     _emit(args, {"schema": SCHEMA, "seed": args.seed,
-                 "p1": list(_vector(args.p1)), "p2": list(_vector(args.p2)),
-                 "r": list(_vector(args.r)), "alpha": res.value.to_json(),
+                 "p1": list(p1), "p2": list(p2),
+                 "r": list(r), "alpha": res.value.to_json(),
                  "chamber": {"cone": list(res.chamber.cone),
                              "lower": list(res.chamber.lower),
                              "upper": list(res.chamber.upper)}})
@@ -372,12 +389,14 @@ def _cmd_render(args):
     if missing:
         return _diagnose("UsageError", "render needs --instance or "
                          + ", ".join(missing), 2)
+    if (args.p is None) != (args.x is None):
+        return _diagnose("UsageError", "render draws broken lines from "
+                         "--p and --x together", 2)
     s = _structure(args)
     lines = ()
-    if args.p and args.x:
-        x = PointInChart(_chart(args, s.complex), _vector(args.x),
-                         ambient=True)
-        lines = enumerate_lines(s, _vector(args.p), x, seed=args.seed)
+    if args.p is not None:
+        p, _, x = _p_and_x(args, s.complex)
+        lines = enumerate_lines(s, p, x)
     _emit(args, render_svg(s, lines=lines), binary=True)
     return 0
 

@@ -149,67 +149,53 @@ def _angle_cmp(a, b) -> int:
     return -1 if cross > 0 else (1 if cross < 0 else 0)
 
 
-def ordered_rays(inst: LocalInstance, start: int = 0,
-                 reverse: bool = False) -> list[LocalRay]:
-    """Rays in angular crossing order, optionally rotated or reversed."""
-    rays = sorted(inst.rays,
+def ordered_rays(inst: LocalInstance) -> list[LocalRay]:
+    """Rays in angular crossing order."""
+    return sorted(inst.rays,
                   key=cmp_to_key(lambda r1, r2: _angle_cmp(r1.direction,
                                                            r2.direction)))
-    k = start % len(rays) if rays else 0
-    rays = rays[k:] + rays[:k]
-    return rays[::-1] if reverse else rays
 
 
-def _normal(direction, n_exp: int, sign: int = 1):
+def _normal(direction, n_exp: int):
     # conormal oriented against the direction of travel: this is the
     # orientation under which two basis lines scatter with coefficient +1
-    return (sign * direction[1], -sign * direction[0]) + \
-        (0,) * (n_exp - 2)
+    return (direction[1], -direction[0]) + (0,) * (n_exp - 2)
 
 
-def path_ordered(inst: LocalInstance, g: RingElement, start: int = 0,
-                 reverse: bool = False, *,
+def path_ordered(inst: LocalInstance, g: RingElement, *,
                  cap: int | None = None) -> RingElement:
-    """Apply the crossing automorphisms of one full loop to ``g``.
+    """Apply the crossing automorphisms of one counterclockwise loop to
+    ``g``.
 
-    The loop runs counterclockwise; reversal traverses clockwise with the
-    conormals flipped, so a consistent diagram passes either way.  With a
-    ``cap``, each crossing keeps only the terms of weight at most ``cap``;
-    those are exact, as every class of a ray function is nilpotent
+    With a ``cap``, each crossing keeps only the terms of weight at most
+    ``cap``; those are exact, as every class of a ray function is nilpotent
     (``_validate_ray``) and so has positive weight.
     """
-    sign = -1 if reverse else 1
-    for ray in ordered_rays(inst, start=start, reverse=reverse):
-        g = apply_theta(ray.function,
-                        _normal(ray.direction, inst.n_exp, sign), g, cap=cap)
+    for ray in ordered_rays(inst):
+        g = apply_theta(ray.function, _normal(ray.direction, inst.n_exp), g,
+                        cap=cap)
     return g
 
 
 def generators(inst: LocalInstance) -> list[RingElement]:
+    """z^(e1) and z^(e2).
+
+    The loop is a ring automorphism, so it fixes z^(-e) exactly when it
+    fixes z^e, modulo any weight cap; the invariant coordinates pair to
+    zero with every conormal and are fixed by every crossing.
+    """
     zero_A = (0,) * inst.trunc.curve_rank
-    gens = []
-    for i in range(2):
-        for s in (1, -1):
-            m = tuple(s if j == i else 0 for j in range(inst.n_exp))
-            gens.append(RingElement.monomial(zero_A, m, 1, LOCAL_CHART,
-                                             inst.trunc))
-    return gens
+    return [RingElement.monomial(zero_A,
+                                 tuple(int(j == i) for j in range(inst.n_exp)),
+                                 1, LOCAL_CHART, inst.trunc)
+            for i in range(2)]
 
 
-def _weight_filter(e: RingElement, w: int) -> RingElement:
-    terms = {k: c for k, c in e.terms.items()
-             if e.trunc.weight_of(k[0]) <= w}
-    return RingElement(terms, e.cone, e.trunc, e.n)
-
-
-def identity_around(inst: LocalInstance, start: int = 0,
-                    reverse: bool = False, max_weight: int | None = None):
-    """Is the path-ordered loop the identity?  Returns (ok, witness)."""
+def identity_around(inst: LocalInstance, max_weight: int | None = None):
+    """Is the path-ordered loop the identity, through weight ``max_weight``
+    if given?  Returns (ok, witness)."""
     for g in generators(inst):
-        out = path_ordered(inst, g, start=start, reverse=reverse)
-        diff = out.sub(g)
-        if max_weight is not None:
-            diff = _weight_filter(diff, max_weight)
+        diff = path_ordered(inst, g, cap=max_weight).sub(g)
         if not diff.is_zero():
             (A, m), c = diff.sorted_terms()[0]
             gen_m = next(iter(g.terms))[1]
@@ -292,20 +278,18 @@ def _item(name: str, p, location, diff: RingElement) -> PatchingItem:
                         {"A": list(A), "m": list(m), "coefficient": str(c)})
 
 
-def patching_check(s: WallStructure, p_set: dict | None = None,
-                   seed: int = 0) -> PatchingReport:
+def patching_check(s: WallStructure, seed: int = 0) -> PatchingReport:
     """Theta-patching verification on a two-dimensional structure.
 
-    For each p in the p-set: (1) theta is constant on chamber interiors,
-    (2) thetas of adjacent chambers are intertwined by the wall crossing,
-    (3) the thetas on the two sides of each slab are carried onto each other
-    across it (``_slab_lift_items``).
+    For each p of ``default_p_set``: (1) theta is constant on chamber
+    interiors, (2) thetas of adjacent chambers are intertwined by the wall
+    crossing, (3) the thetas on the two sides of each slab are carried onto
+    each other across it (``_slab_lift_items``).
     """
     if s.complex.n != 2:
         raise UnsupportedDimension("patching checks need a surface")
     s = refine(s)
-    if p_set is None:
-        p_set = default_p_set(s)
+    p_set = default_p_set(s)
     items = []
     # (1) chamber-interior invariance
     for ch in s.chambers:
@@ -430,15 +414,6 @@ def _across_slab(cx: ConeComplex, g: RingElement, pos: int, target,
 
 # -- joint checks ------------------------------------------------------------
 
-def _is_apex(joint) -> bool:
-    if joint is None or joint == "apex":
-        return True
-    if isinstance(joint, (tuple, list)) and joint and \
-            all(x == 0 for x in joint):
-        return True
-    return False
-
-
 def localize_at_joint(s: WallStructure, joint) -> LocalInstance:
     """Planar instance of the structure around an interior joint.
 
@@ -487,23 +462,16 @@ def localize_at_joint(s: WallStructure, joint) -> LocalInstance:
                          invariant_rank=inv_rank)
 
 
-def check_joint(s, joint=None, p_set: dict | None = None,
-                seed: int = 0) -> JointReport:
-    """Consistency verdict at one joint.
+def check_joint(s: WallStructure, joint, seed: int = 0) -> JointReport:
+    """Consistency verdict of a structure at one joint.
 
-    A ``LocalInstance`` is checked as a codimension-zero joint directly.
-    For a structure, the apex dispatches to the global patching check;
-    (chart, ray) joints of higher-dimensional structures are localized
-    first.  Boundary joints verify that every wall exponent is tangent to
-    the boundary.
+    The joint ``"apex"`` dispatches to the global patching check; (chart,
+    ray) joints of higher-dimensional structures are localized first.
+    Boundary joints verify that every wall exponent is tangent to the
+    boundary.
     """
-    if isinstance(s, LocalInstance):
-        ok, witness = identity_around(s)
-        return JointReport(joint="local", codim=0, boundary=False,
-                           verdict="pass" if ok else "fail",
-                           witness=witness)
-    if _is_apex(joint):
-        report = patching_check(s, p_set=p_set, seed=seed)
+    if joint == "apex":
+        report = patching_check(s, seed=seed)
         fail = report.first_failure()
         witness = None
         if fail is not None:
@@ -605,15 +573,15 @@ def _discrepancy(inst: LocalInstance, g: RingElement,
 
 def _failing(inst: LocalInstance, w: int) -> dict:
     """The weight-w terms t^A z^m of the loop's discrepancy, each with the
-    first of z^(e1), z^(e2) whose discrepancy carries it and the coefficient
-    there; ``NonConvergent`` if a lower weight fails.
+    first of the ``generators`` z^(e1), z^(e2) whose discrepancy carries it
+    and the coefficient there; ``NonConvergent`` if a lower weight fails.
 
     At the first failing weight D_(-e) = -D_e, since the loop is a ring
     automorphism and so takes z^(-e) to the inverse of its image of z^e:
     the discrepancies of z^(-e1) and z^(-e2) hold no other term.
     """
     failing = {}
-    for g in generators(inst)[::2]:
+    for g in generators(inst):
         for (A, m), c in _discrepancy(inst, g, w).terms.items():
             weight = inst.trunc.weight_of(A)
             if weight < w:
@@ -657,8 +625,9 @@ def complete_codim0(inst: LocalInstance,
     its weight-w part only in the term t^A z^m, by c times the response of
     one crossing (``_response``); each coefficient is solved for exactly
     from that response, so the sign conventions of the crossing
-    automorphism are never hard-coded.  The final check runs all four
-    generators at the full truncation.
+    automorphism are never hard-coded.  The final check is
+    ``identity_around`` through ``max_weight``: two more loops, capped
+    there.
     """
     if max_weight is None:
         max_weight = inst.trunc.max_weight()

@@ -90,10 +90,9 @@ class BrokenLineError(WallcrossError):
 class NonGenericEndpoint(BrokenLineError):
     """Endpoint lies on a hyperplane of the relevant arrangement."""
 
-    def __init__(self, message, hyperplane=None, suggestion=None):
+    def __init__(self, message, hyperplane=None):
         super().__init__(message)
         self.hyperplane = hyperplane
-        self.suggestion = suggestion
 
 
 class InadmissibleType(BrokenLineError):

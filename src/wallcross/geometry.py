@@ -12,7 +12,6 @@ by the cell's kink class.
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -397,44 +396,6 @@ def validate_complex(cx: ConeComplex):
 
     if cx.relative:
         cx.check_submersion()
-
-
-# -- generic point sampling --------------------------------------------------
-
-_PRIMES = (10007, 10009, 10037, 10039, 10061, 10067, 10069, 10079,
-           10091, 10093, 10099, 10103, 10111, 10133, 10139, 10141)
-
-
-class GenericPointSampler:
-    """Deterministic rational points avoiding a given hyperplane list.
-
-    Coordinates use pairwise-distinct large prime denominators so that no
-    nontrivial small-integer covector annihilates them by accident; if a
-    supplied hyperplane still vanishes, the numerators are re-drawn from the
-    seeded generator.
-    """
-
-    def __init__(self, seed: int = 0):
-        self._rng = random.Random(seed)
-        self.seed = seed
-
-    def sample(self, cone: ConeId, n: int,
-               hyperplanes: Sequence[Sequence] = (),
-               base: Sequence | None = None) -> PointInChart:
-        for _attempt in range(64):
-            coords = []
-            for i in range(n):
-                p = _PRIMES[i % len(_PRIMES)]
-                num = self._rng.randint(1, p - 1)
-                c = Fraction(num, p)
-                if base is not None:
-                    c += Fraction(base[i])
-                coords.append(c)
-            if all(sum((Fraction(h[i]) * coords[i] for i in range(n)),
-                       Fraction(0)) != 0 for h in hyperplanes):
-                return PointInChart(cone=cone, coords=tuple(coords),
-                                    ambient=True)
-        raise GeometryError("could not find a generic point")
 
 
 # -- JSON interface ----------------------------------------------------------

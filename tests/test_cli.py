@@ -21,6 +21,7 @@ from wallcross.ring import Truncation
 from wallcross.walls import WallStructure, truncation_from_json, \
     truncation_to_json
 
+from perfbench import workloads
 from tests.test_broken import quadrant
 from tests.test_consistency import two_lines
 from tests.test_tropical import bent_line_type
@@ -224,6 +225,47 @@ def test_malformed_invariant_rank_is_usage_error(bundle, capsys, rank,
     assert code == 2 and out == ""
     assert json.loads(err) == {"schema": "wallcross/1",
                                "error": "ValueError", "message": message}
+
+
+@pytest.fixture()
+def quadrant3(tmp_path):
+    """The benchmark's bound-3 quadrant on disk, as -g/-t/-w options."""
+    s = workloads.quadrant(3, 1)
+    files = {"-g": geometry_to_json(s.complex),
+             "-t": truncation_to_json(s.trunc), "-w": s.to_json()}
+    argv = []
+    for flag, data in files.items():
+        path = tmp_path / f"{flag[1]}.json"
+        path.write_text(json.dumps(data))
+        argv += [flag, str(path)]
+    return argv
+
+
+@pytest.mark.parametrize("command, argv, error, message", [
+    ("theta", ["--p", "1", "--x", "3,7"], "ValueError",
+     "--p 1 has length 1, not the dimension 2 of the complex"),
+    ("theta", ["--p", "1,0", "--x", "3,7,5"], "ValueError",
+     "--x 3,7,5 has length 3, not the dimension 2 of the complex"),
+    ("alpha", ["--p1", "1,0", "--p2", "0,1", "--r", "1,1,7"], "ValueError",
+     "--r 1,1,7 has length 3, not the dimension 2 of the complex"),
+    ("broken-lines", ["--p", "1,0,0", "--x", "3,7"], "ValueError",
+     "--p 1,0,0 has length 3, not the dimension 2 of the complex"),
+    ("render", ["--p", "1,0"], "UsageError",
+     "render draws broken lines from --p and --x together"),
+    ("render", ["--x", "3,7"], "UsageError",
+     "render draws broken lines from --p and --x together"),
+], ids=["theta-short-p", "theta-long-x", "alpha-long-r", "lines-long-p",
+        "render-p-alone", "render-x-alone"])
+def test_vector_of_the_wrong_length_is_usage_error(quadrant3, capsys,
+                                                    command, argv, error,
+                                                    message):
+    """A point or exponent option of another length than the complex's
+    dimension, or render's --p without --x, exits 2 with one JSON
+    diagnostic and writes nothing."""
+    code, out, err = run(capsys, command, *quadrant3, *argv)
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"schema": "wallcross/1", "error": error,
+                               "message": message}
 
 
 # -- wall assembly ------------------------------------------------------------

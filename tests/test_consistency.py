@@ -9,6 +9,7 @@ import os
 import re
 import time
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -100,18 +101,25 @@ def _o_pow(f, k, in_ideal, rank):
     return out
 
 
-def oracle_loop(inst: LocalInstance, g_exponent):
-    """Path-ordered product on z^g, composed from scratch."""
+def oracle_loop(inst: LocalInstance, g_exponent, start=0, reverse=False):
+    """Path-ordered product on z^g, composed from scratch.
+
+    The loop runs counterclockwise from the ``start``-th ray; reversed, it
+    runs clockwise with the conormals flipped, which gives the inverse
+    loop, so a consistent diagram passes every way."""
     trunc = inst.trunc
     rank = trunc.curve_rank
     in_ideal = trunc.in_ideal
     rays = sorted(inst.rays,
                   key=lambda r: math.atan2(r.direction[1], r.direction[0])
                   % (2 * math.pi))
+    k = start % len(rays) if rays else 0
+    rays = rays[k:] + rays[:k]
+    sign = -1 if reverse else 1
     poly = {((0,) * rank, tuple(g_exponent)): Fraction(1)}
-    for ray in rays:
+    for ray in (rays[::-1] if reverse else rays):
         d = ray.direction
-        normal = (d[1], -d[0])
+        normal = (sign * d[1], -sign * d[0])
         f = {(A, m): c for (A, m), c in ray.function.terms.items()}
         out = {}
         for (A, m), c in poly.items():
@@ -127,9 +135,31 @@ def oracle_loop(inst: LocalInstance, g_exponent):
     return poly
 
 
+# the four generators z^(+-e1), z^(+-e2) of the oracle, in its order
+GENERATORS = ((1, 0), (-1, 0), (0, 1), (0, -1))
+
+
+def oracle_witness(inst: LocalInstance, max_weight=None, start=0,
+                   reverse=False):
+    """The first term of theta(z^g) - z^g, through ``max_weight`` if given,
+    for the first of the four generators whose loop moves it, as
+    (generator, A, m, coefficient); None if the loop fixes all four."""
+    rank, trunc = inst.trunc.curve_rank, inst.trunc
+    for g in GENERATORS:
+        diff = oracle_loop(inst, g, start, reverse)
+        key = ((0,) * rank, g)
+        diff[key] = diff.get(key, Fraction(0)) - 1
+        diff = {(A, m): c for (A, m), c in diff.items() if c and (
+            max_weight is None or trunc.weight_of(A) <= max_weight)}
+        if diff:
+            (A, m), c = min(diff.items())
+            return g, A, m, c
+    return None
+
+
 def oracle_is_identity(inst: LocalInstance) -> bool:
     rank = inst.trunc.curve_rank
-    for g in [(1, 0), (-1, 0), (0, 1), (0, -1)]:
+    for g in GENERATORS:
         expected = {((0,) * rank, g): Fraction(1)}
         if oracle_loop(inst, g) != expected:
             return False
@@ -197,7 +227,7 @@ def test_trivial_functions_are_consistent():
     f = RingElement.one(LOCAL_CHART, T12, 2)
     inst = LocalInstance(trunc=T12, rays=(LocalRay((1, 1), f),))
     assert identity_around(inst) == (True, None)
-    assert check_joint(inst).verdict == "pass"
+    assert identity_around(inst, max_weight=1) == (True, None)
 
 
 def test_single_line_is_consistent():
@@ -211,19 +241,24 @@ def test_two_crossing_lines_fail_with_commutator_witness():
     ok, witness = identity_around(inst)
     assert not ok
     assert witness["A"] == [1, 1]          # a t1*t2 term
+    assert witness["generator"] == [1, 0]
     assert not oracle_is_identity(inst)
-    report = check_joint(inst)
-    assert report.verdict == "fail" and report.codim == 0
+    # through weight 1 the two lines commute
+    assert identity_around(inst, max_weight=1) == (True, None)
 
 
 def test_verdict_invariant_under_rotation_and_reversal():
-    for inst in (two_lines(),
-                 LocalInstance(trunc=T12, rays=tuple(line((1, 0), (1, 0))))):
+    """The oracle's loop, started at every ray and run either way, gives
+    the verdict of ``identity_around``'s one counterclockwise loop."""
+    one_line = LocalInstance(trunc=T12, rays=tuple(line((1, 0), (1, 0))))
+    done = complete_codim0(two_lines(), max_weight=2)
+    for inst in (two_lines(), one_line, done,
+                 replace(done, rays=done.rays[1:])):
         expected = identity_around(inst)[0]
         for start in range(len(inst.rays)):
             for reverse in (False, True):
-                ok, _ = identity_around(inst, start=start, reverse=reverse)
-                assert ok == expected
+                witness = oracle_witness(inst, start=start, reverse=reverse)
+                assert (witness is None) == expected, (start, reverse)
 
 
 # -- completion ----------------------------------------------------------------
@@ -362,7 +397,7 @@ def test_completion_computes_each_power_once_and_one_pass_per_weight(
         monkeypatch):
     """Every (element, exponent) power is computed once per completion, and
     each weight takes at most two loops, one discrepancy each for z^(e1)
-    and z^(e2), and the final check four, one per generator."""
+    and z^(e2), and the final check two, one per generator."""
     weight = 6
     powers, keep = Counter(), []
     loops = []
@@ -390,7 +425,7 @@ def test_completion_computes_each_power_once_and_one_pass_per_weight(
     done = complete_codim0(inst, max_weight=weight)
     assert len(done.rays) > len(inst.rays)
     assert powers and max(powers.values()) == 1
-    assert len(loops) <= 2 * weight + 4
+    assert len(loops) <= 2 * weight + 2
 
 
 def _load_script(name):
@@ -530,13 +565,13 @@ def test_localize_half_plane_inconsistent():
 
 
 def test_apex_of_threefold_dispatches(monkeypatch):
-    """``check_joint`` sends the apex, under each of its names, to the
-    global patching check and never localizes it."""
+    """``check_joint`` sends the apex to the global patching check and
+    never localizes it."""
     s = WallStructure(complex=threefold(), trunc=t3(), walls=())
     checked = []
 
-    def patching(structure, p_set=None, seed=0):
-        checked.append(structure)
+    def patching(structure, seed=0):
+        checked.append((structure, seed))
         return consistency.PatchingReport(passed=True, items=())
 
     def localize(*_args):
@@ -544,11 +579,9 @@ def test_apex_of_threefold_dispatches(monkeypatch):
 
     monkeypatch.setattr(consistency, "patching_check", patching)
     monkeypatch.setattr(consistency, "localize_at_joint", localize)
-    for joint in ("apex", None, (0, 0, 0)):
-        report = check_joint(s, joint)
-        assert (report.joint, report.codim, report.verdict) == \
-            ("apex", 2, "pass")
-    assert len(checked) == 3 and all(c is s for c in checked)
+    report = check_joint(s, "apex", seed=3)
+    assert (report.joint, report.codim, report.verdict) == ("apex", 2, "pass")
+    assert checked == [(s, 3)]
     monkeypatch.undo()
     # the real patching check needs a surface
     with pytest.raises(UnsupportedDimension):

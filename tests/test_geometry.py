@@ -1,4 +1,4 @@
-"""Cone-complex tests: validation, charts, fibration data, sampling."""
+"""Cone-complex tests: validation, charts, fibration data."""
 
 from __future__ import annotations
 
@@ -22,7 +22,6 @@ from wallcross.errors import (
 from wallcross.geometry import (
     Crossing,
     DivisorTable,
-    GenericPointSampler,
     PointInChart,
     build_complex,
     geometry_from_json,
@@ -332,14 +331,3 @@ def test_submersion_ok_when_linear():
                   curve_rank=1, relative=True)
 
 
-# -- generic point sampling --------------------------------------------------
-
-def test_sampler_deterministic_and_generic():
-    s1 = GenericPointSampler(seed=7)
-    s2 = GenericPointSampler(seed=7)
-    hyper = [(1, -1), (1, 0), (0, 1)]
-    p1 = s1.sample((0, 1), 2, hyper)
-    p2 = s2.sample((0, 1), 2, hyper)
-    assert p1 == p2
-    for h in hyper:
-        assert sum(Fraction(a) * c for a, c in zip(h, p1.coords)) != 0

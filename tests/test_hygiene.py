@@ -1,8 +1,8 @@
 """Source hygiene: no module of the package or of the tests imports a name
 it never uses, no function imports from the package at call time, no
 top-level function or class of the package goes unnamed outside its
-definition, and no method or property of a package class is never taken as
-an attribute.
+definition, no method or property of a package class is never taken as an
+attribute, and no parameter with a default goes unset by every caller.
 
 Callers are the package itself, the benchmark and the scripts (``src/``,
 ``perfbench/``, ``scripts/``).  Tests do not count: a definition that only
@@ -171,6 +171,103 @@ def test_no_orphaned_helpers():
         with open(os.path.join(PACKAGE, module)) as fh:
             definitions[module[:-3]] = fh.read()
     assert orphans(definitions, caller_sources()) == []
+
+
+def _defaulted(fn, method: bool):
+    """(parameter, position) of each parameter of ``fn`` with a default;
+    the position counts the arguments a caller passes (not ``self`` or
+    ``cls``), and is None for a keyword-only parameter."""
+    positional = fn.args.posonlyargs + fn.args.args
+    first = len(positional) - len(fn.args.defaults)
+    out = [(arg.arg, i - method) for i, arg in enumerate(positional)
+           if i >= first]
+    out += [(arg.arg, None) for arg, default in
+            zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+            if default is not None]
+    return out
+
+
+def _callables(tree):
+    """(qualified name, called name, function node, is a method) of each
+    top-level function and each method of a top-level class; a class is
+    called by its own name for ``__init__``, other dunders are skipped."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, node.name, node, False
+        elif isinstance(node, ast.ClassDef):
+            for fn in node.body:
+                if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                if fn.name.startswith("__") and fn.name != "__init__":
+                    continue
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in fn.decorator_list)
+                called = node.name if fn.name == "__init__" else fn.name
+                yield f"{node.name}.{fn.name}", called, fn, not static
+
+
+def unset_optionals(definitions: dict[str, str], sources: list[str]
+                    ) -> list[str]:
+    """Parameters with a default, of the functions and methods of the
+    package modules (module name -> source), that no call in ``sources``
+    sets, by keyword or by position.  Calls are matched by name; a call
+    with ``*args`` sets every positional parameter, one with ``**kwargs``
+    every parameter."""
+    positions, keywords = Counter(), set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else \
+                func.attr if isinstance(func, ast.Attribute) else None
+            if name is None:
+                continue
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            count = float("inf") if starred else len(node.args)
+            positions[name] = max(positions[name], count)
+            keywords.update((name, k.arg) for k in node.keywords)
+    out = []
+    for module, source in definitions.items():
+        for qualname, called, fn, method in _callables(ast.parse(source)):
+            for param, position in _defaulted(fn, method):
+                if (called, param) in keywords or (called, None) in keywords:
+                    continue
+                if position is not None and positions[called] > position:
+                    continue
+                out.append(f"{module}.{qualname}({param})")
+    return sorted(out)
+
+
+PLANTED_OPTIONS = ("def f(a, b=1, *, c=2):\n    return a + b + c\n\n"
+                   "class K:\n    def __init__(self, x=0):\n"
+                   "        self.x = x\n\n"
+                   "    def m(self, x, y=0, z=1):\n        return x + y + z\n")
+
+
+def test_detector_flags_an_optional_parameter_no_caller_sets():
+    callers = ["f(1, 2)\nK().m(1, z=3)\n"]
+    assert unset_optionals({"mod": PLANTED_OPTIONS}, callers) == \
+        ["mod.K.__init__(x)", "mod.K.m(y)", "mod.f(c)"]
+    callers.append("K(4).m(*args)\nf(**options)\n")
+    assert unset_optionals({"mod": PLANTED_OPTIONS}, callers) == []
+
+
+def test_caller_sources_flag_an_option_only_tests_set(tmp_path):
+    _plant(tmp_path, {
+        "src/pkg/mod.py": PLANTED_OPTIONS,
+        "perfbench/bench.py": "f(1, c=3)\nK(2).m(1, 2, 3)\n",
+        "tests/test_mod.py": "f(1, 2)\n"})
+    assert unset_optionals({"mod": PLANTED_OPTIONS},
+                           caller_sources(str(tmp_path))) == ["mod.f(b)"]
+
+
+def test_no_optional_parameter_only_tests_set():
+    definitions = {}
+    for module in MODULES:
+        with open(os.path.join(PACKAGE, module)) as fh:
+            definitions[module[:-3]] = fh.read()
+    assert unset_optionals(definitions, caller_sources()) == []
 
 
 def orphaned_members(classes: dict[str, type], sources: list[str]

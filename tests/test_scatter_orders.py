@@ -7,8 +7,10 @@ coefficient from one crossing of one monomial.  On seeded instances of
 every benchmark shape, with one shared parameter and with two, each piece
 is compared at every weight with what it replaces, composed from plain
 dicts by ``oracle_loop``: the discrepancy at the full truncation for all
-four generators, and the response of a probe instance that carries a
-factor exp(t^A z^m) for every failing term.
+four generators z^(+-e1), z^(+-e2), and the response of a probe instance
+that carries a factor exp(t^A z^m) for every failing term.  The loop check
+``identity_around`` runs on z^(e1) and z^(e2) alone; its witness is
+compared with the first failing term of the four-generator oracle.
 """
 
 from __future__ import annotations
@@ -22,15 +24,20 @@ import pytest
 
 from wallcross import consistency
 from wallcross.consistency import (LOCAL_CHART, LocalRay, complete_codim0,
-                                   generators)
+                                   identity_around)
 from wallcross.ring import RingElement
 from wallcross.walls import primitive
 
 from perfbench.workloads import SCATTER_CLASSES, two_lines
-from tests.test_consistency import oracle_is_identity, oracle_loop
+from tests.test_consistency import (GENERATORS as E, oracle_is_identity,
+                                    oracle_loop, oracle_witness)
 
-# the exponents of ``generators``, in its order
-E = ((1, 0), (-1, 0), (0, 1), (0, -1))
+
+def monomials(inst):
+    """z^e for each of the four exponents e of E, in its order."""
+    zero_A = (0,) * inst.trunc.curve_rank
+    return [RingElement.monomial(zero_A, e, 1, LOCAL_CHART, inst.trunc)
+            for e in E]
 
 
 def seeded_instances():
@@ -93,7 +100,7 @@ def test_each_order_from_two_capped_loops_and_one_crossing(inst):
         upto = {e: {k: c for k, c in d.items()
                     if trunc.weight_of(k[0]) <= w} for e, d in full.items()}
         # the capped discrepancy is the full one through weight w
-        for g, e in zip(generators(cur), E):
+        for g, e in zip(monomials(cur), E):
             assert consistency._discrepancy(cur, g, w).terms == upto[e], \
                 (w, e)
         # D_(-e) = -D_e at the first failing weight
@@ -123,3 +130,50 @@ def test_each_order_from_two_capped_loops_and_one_crossing(inst):
                 == responses[e].get((A, m), 0) - eps0, (w, A, m)
         cur = complete_codim0(inst, max_weight=w)
     assert oracle_is_identity(cur)
+
+
+def failing_instances():
+    """Per full benchmark shape, with one shared parameter and with two:
+    the raw two-line instance, and its completion with one emitted ray
+    dropped or with one coefficient of an emitted ray moved by one."""
+    rng = random.Random(20)
+    cases = []
+    for l1, l2, w in SCATTER_CLASSES["full"]:
+        for shared in (True, False):
+            c1, c2 = (rng.choice((1, -1)) * rng.randint(10, 99)
+                      for _ in range(2))
+            inst = two_lines(l1, l2, shared, c1, c2, w)
+            done = complete_codim0(inst, max_weight=w)
+            emitted = [i for i, r in enumerate(done.rays)
+                       if r not in inst.rays]
+            i = rng.choice(emitted)
+            dropped = replace(done, rays=done.rays[:i] + done.rays[i + 1:])
+            f = done.rays[i].function
+            key = rng.choice(sorted(k for k in f.terms if any(k[0])))
+            moved = RingElement({**f.terms, key: f.terms[key] + 1},
+                                LOCAL_CHART, f.trunc, f.n)
+            changed = replace(done, rays=done.rays[:i] + (
+                replace(done.rays[i], function=moved),) + done.rays[i + 1:])
+            label = f"{l1}-{l2}-w{w}-{'t' if shared else 't1t2'}"
+            cases += [pytest.param(inst, id=label + "-raw"),
+                      pytest.param(dropped, id=label + "-dropped"),
+                      pytest.param(changed, id=label + "-changed")]
+    return cases
+
+
+@pytest.mark.parametrize("inst", failing_instances())
+def test_two_generator_witness_is_the_first_failing_oracle_term(inst):
+    """At every weight cap and uncapped, ``identity_around``'s verdict and
+    witness are those of the first failing term of the four-generator
+    oracle; uncapped, every instance fails."""
+    caps = [None, *range(1, inst.trunc.max_weight() + 1)]
+    for cap in caps:
+        expected = oracle_witness(inst, max_weight=cap)
+        if expected is not None:
+            g, A, m, c = expected
+            expected = {"generator": list(g), "A": list(A), "m": list(m),
+                        "coefficient": str(Fraction(c))}
+        assert identity_around(inst, max_weight=cap) == \
+            (expected is None, expected), cap
+        if cap is None:
+            assert expected is not None

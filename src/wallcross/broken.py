@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 
-from . import ring
 from .errors import (
     BrokenLineError,
     EndpointOutsideFamily,
@@ -71,7 +70,6 @@ class Bend:
     coeff: int | Fraction
     mu: tuple | None = None
     on_slab: bool = False
-    kink_class: tuple[int, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -166,35 +164,6 @@ def _bends(f, pairing, A, m, logs):
             for dA, dm, c, cid, mu in choices]
 
 
-# -- data kept on the structure ----------------------------------------------
-
-def _kept(s: WallStructure, key, compute):
-    """``compute()``, computed once per structure and key.
-
-    The keys kept are
-
-    - ``("candidates", p chart, p)``: an asymptotic's candidate monomials;
-    - ``("hyperplanes", chart, candidates)``: the lines through the origin
-      that a generic endpoint avoids;
-    - ``("lines", p chart, p, x, decorated)``: a line family, as a tuple;
-    - ``("sample", chamber, candidates, seed)``: a chamber's sample point;
-    - ``("point", chart, numerators)``: a sample point by value, so that
-      samples of one value are one object, and line-family keys holding
-      it compare by identity, not by ``Fraction`` equality;
-    - ``("containing", r chart, r)``: the chambers holding r, as a tuple.
-
-    A check that guards a key (the endpoint genericity of a line family)
-    runs inside ``compute``, so only when the key is computed: the key
-    fixes what the check reads.  The store lives on the frozen structure,
-    so ``replace`` and ``with_walls`` start an empty one; an error raised
-    by ``compute`` is not kept, so it is raised again on every call.
-    """
-    store = s._line_data
-    if key not in store:
-        store[key] = compute()
-    return store[key]
-
-
 # -- candidate monomials and genericity --------------------------------------
 
 def _candidate_monomials(s: WallStructure, p_cone, p):
@@ -234,7 +203,7 @@ def genericity_hyperplanes(s: WallStructure, chart, candidates):
                    if ch == chart and any(m))
         return tuple(sorted(hps))
 
-    return _kept(s, ("hyperplanes", chart, candidates), compute)
+    return s._kept(("hyperplanes", chart, candidates), compute)
 
 
 def _numerators(x: PointInChart):
@@ -326,40 +295,13 @@ def _ray_events(s: WallStructure, chart, nums, den, m):
     return events, (None if exit_t is None else (exit_t, exit_pos))
 
 
-def _slab_function(s: WallStructure, chart, rho, q):
-    """Product of slab-wall functions on rho containing q, in chart coords;
-    q is the point on rho or any positive multiple of it.
-
-    Returns (function or None, wall index of the first contributing slab).
-    """
-    f = None
-    first = None
-    for i, w in enumerate(s.walls):
-        if w.rho != rho:
-            continue
-        q_local = q
-        if w.cone != chart:
-            q_local = s.complex.crossing_to(chart, w.cone).vector(q)
-        if not _holds(w, q_local):
-            continue
-        fw = s.complex.transport_element(w.function, w.cone, chart)
-        f = fw if f is None else f.mul(fw)
-        if first is None:
-            first = i
-    return f, first
-
-
-def _bend_logs(s: WallStructure, chart, wall_index, slab=None):
-    """The log terms that a decorated bend's ``mu`` indexes.
-
-    A wall bend reads those of its wall in ``chart``; a bend on a slab,
-    given as (rho, crossing point), reads those of the product of the slab
-    functions there.
-    """
-    if slab is None:
+def _bend_logs(s: WallStructure, chart, wall_index, rho=None):
+    """The log terms that a decorated bend's ``mu`` indexes: those of its
+    wall in ``chart``, or for a bend on the slab cell ``rho``, those of the
+    slab product there (``WallStructure.slab_function``)."""
+    if rho is None:
         return s.wall_logs(chart)[wall_index]
-    f, _first = _slab_function(s, chart, *slab)
-    return ring.log_unipotent(f).sorted_terms()
+    return s.slab_function(chart, rho)[1]
 
 
 def _same_asymptotic(cx, chart, m, p_cone, p):
@@ -418,13 +360,10 @@ def _trace(s, chart, nums, den, A, m, p_cone, p, decorated, depth):
     if c is None:
         return  # the ray leaves through the boundary of B
     q_nums, q_den = _along(nums, den, m, exit_t)
-    f, first = _slab_function(s, chart, c.rho, q_nums)
-    bends = [("straight", A, m, None)]
-    point = None
-    if f is not None:
-        logs = ring.log_unipotent(f).sorted_terms() if decorated else None
-        bends += _bends(f, -m[pos], A, m, logs)
-        point = _point(q_nums, q_den)
+    f, logs, first = s.slab_function(chart, c.rho)
+    bends = [("straight", A, m, None)] + _bends(
+        f, -m[pos], A, m, logs if decorated else None)
+    point = _point(q_nums, q_den) if len(bends) > 1 else None
     target_nums = c.vector(q_nums)
     for cid, A2, m2, fields in bends:
         # backward transport into the neighbouring chart
@@ -433,7 +372,7 @@ def _trace(s, chart, nums, den, A, m, p_cone, p, decorated, depth):
             continue
         bend = None if fields is None else Bend(
             cone=chart, point=point, cell=c.rho, wall_index=first,
-            on_slab=True, kink_class=c.kink, **fields)
+            on_slab=True, **fields)
         step = (("rho", c.rho, cid), bend, (c.target, A3, m3))
         for rest in _trace(s, c.target, target_nums, q_den, A3, m3,
                            p_cone, p, decorated, depth + 1):
@@ -454,8 +393,8 @@ def _asymptotic(s: WallStructure, p, cone):
         raise UnsupportedDimension(
             "broken-line enumeration is implemented for surfaces")
     p_cone, p_vec = _exponent(p, tuple(cone))
-    return p_cone, p_vec, _kept(
-        s, ("candidates", p_cone, p_vec),
+    return p_cone, p_vec, s._kept(
+        ("candidates", p_cone, p_vec),
         lambda: _candidate_monomials(s, p_cone, p_vec))
 
 
@@ -478,7 +417,7 @@ def _lines(s: WallStructure, asymptotic, x: PointInChart, decorated):
         _ensure_generic(s, x, candidates)
         return _trace_family(s, asymptotic, x, decorated)
 
-    return list(_kept(s, ("lines", p_cone, p_vec, x, decorated), compute))
+    return list(s._kept(("lines", p_cone, p_vec, x, decorated), compute))
 
 
 def _trace_family(s: WallStructure, asymptotic, x: PointInChart, decorated):
@@ -565,13 +504,13 @@ def chambers_containing(s: WallStructure, r_cone, r):
                     out.append(ch)
         return tuple(out)
 
-    return list(_kept(s, ("containing", r_cone, r), compute))
+    return list(s._kept(("containing", r_cone, r), compute))
 
 
 def _sample_in_chamber(s, ch: Chamber, cands: frozenset, seed):
     """A point of ``ch`` generic for the candidate monomials ``cands``."""
-    return _kept(s, ("sample", ch, cands, seed),
-                 lambda: _draw_in_chamber(s, ch, cands, seed))
+    return s._kept(("sample", ch, cands, seed),
+                   lambda: _draw_in_chamber(s, ch, cands, seed))
 
 
 def _draw_in_chamber(s, ch: Chamber, cands, seed):
@@ -586,11 +525,11 @@ def _draw_in_chamber(s, ch: Chamber, cands, seed):
         if all(c > 0 for c in nums) and all(_dot(h, nums) != 0
                                             for h in hps):
             cone = tuple(ch.cone)
-            return _kept(s, ("point", cone, tuple(nums)),
-                         lambda: PointInChart(
-                             cone=cone, ambient=True,
-                             coords=tuple(Fraction(c, 997 * 1009)
-                                          for c in nums)))
+            return s._kept(("point", cone, tuple(nums)),
+                           lambda: PointInChart(
+                               cone=cone, ambient=True,
+                               coords=tuple(Fraction(c, 997 * 1009)
+                                            for c in nums)))
     raise NonGenericEndpoint(
         f"no generic point found in the chamber {ch.lower}, {ch.upper} "
         f"of chart {tuple(ch.cone)}")
@@ -658,7 +597,7 @@ def decorated_to_type(d: DecoratedBrokenLine,
     # spine vertices, ordered from the asymptotic end to the endpoint
     for b in line.bends:
         if b.on_slab:
-            A_dec = tuple(b.pairing * k for k in (b.kink_class or zero_A))
+            A_dec = tuple(b.pairing * k for k in cx.kink(b.cell))
             vertices.append(Vertex(cone=tuple(b.cell), A=A_dec))
         else:
             vertices.append(Vertex(cone=tuple(sorted(b.cone)), A=zero_A,
@@ -674,7 +613,7 @@ def decorated_to_type(d: DecoratedBrokenLine,
         if b.mu is None:
             continue
         logs = _bend_logs(s, b.cone, b.wall_index,
-                          (b.cell, b.point) if b.on_slab else None)
+                          b.cell if b.on_slab else None)
         for j, mult in b.mu:
             (A_j, e_j), _c = logs[j]
             for _copy in range(mult):

@@ -8,7 +8,7 @@ truncated arithmetic, checks it, and can complete an inconsistent diagram
 order by order.  On a surface, consistency is checked by theta patching:
 each theta is constant on chamber interiors, intertwined by each wall's
 crossing, and carried across each slab by ``ConeComplex.transport_element``
-times a power of the slab function.
+followed by the crossing automorphism of the slab product.
 """
 
 from __future__ import annotations
@@ -313,13 +313,14 @@ def patching_check(s: WallStructure, seed: int = 0) -> PatchingReport:
             crossed = cross_wall(t_src, w, source_side=x_src.coords)
             items.append(_item("intertwining", p, (tuple(w.cone), ray),
                                crossed.sub(t_dst)))
-    # (3) slab lifts, one set per ray carrying slabs
-    slabs: dict[tuple, list] = {}
+    # (3) slab lifts, one set per ray carrying slabs, from the chart of its
+    # first slab
+    slabs: dict[tuple, tuple] = {}
     for w in s.walls:
         if w.rho is not None:
-            slabs.setdefault(tuple(sorted(w.rho)), []).append(w)
-    for rho, on_rho in slabs.items():
-        items.extend(_slab_lift_items(s, rho, on_rho, p_set, seed))
+            slabs.setdefault(tuple(sorted(w.rho)), tuple(w.cone))
+    for rho, side_u in slabs.items():
+        items.extend(_slab_lift_items(s, rho, side_u, p_set, seed))
     passed = all(i.verdict == "pass" for i in items)
     return PatchingReport(passed=passed, items=tuple(items))
 
@@ -336,30 +337,27 @@ def _adjacent_chamber(s, cone, ray, side):
     return None
 
 
-def _slab_lift_items(s: WallStructure, rho, on_rho, p_set, seed):
+def _slab_lift_items(s: WallStructure, rho, side_u, p_set, seed):
     """Each theta on the two sides of the ray ``rho``, against the other
-    side's theta carried across it; ``on_rho`` are the slabs on rho.
+    side's theta carried across it, for p in ``p_set`` of the chart
+    ``side_u``.
 
     In the chart of the Z+ side u, let e be a term's exponent at the
     position of the ray off the slab (in the chart of the Z- side u2, the
     same for u2's ray).  Then theta_u = theta_u[e >= 0] +
     T(theta_u2[e > 0]) and theta_u2 = theta_u2[e > 0] + T(theta_u[e >= 0]),
     where T carries t^A z^m across the slab by ``Crossing.monomial`` and
-    multiplies it by f^e, f the product of the slab functions on rho in
-    the target chart, as a broken line crossing rho bends by it
-    (``broken._slab_function``).
+    multiplies it by f^e, f the slab product on rho in the target chart
+    (``WallStructure.slab_function``), as a broken line crossing rho bends
+    by it (``_across_slab``).
     """
     cx = s.complex
-    side_u = tuple(on_rho[0].cone)
     crossing = next((c for c in cx.crossings(side_u).values()
                      if c.rho == rho), None)
     if crossing is None:
         return []
     side_u2 = crossing.target
-    f_u = RingElement.one(side_u, s.trunc, cx.n)
-    for w in on_rho:
-        f_u = f_u.mul(cx.transport_element(w.function, w.cone, side_u))
-    f_u2 = cx.transport_element(f_u, side_u, side_u2)
+    f_u, f_u2 = (s.slab_function(side, rho)[0] for side in (side_u, side_u2))
     # chart positions of the ray off the slab, then of the slab's ray
     extra_u = crossing.pos
     extra_u2 = cx.crossing_to(side_u2, side_u).pos
@@ -382,10 +380,9 @@ def _slab_lift_items(s: WallStructure, rho, on_rho, p_set, seed):
         [(theta_u2, _)] = theta_in_chamber(s, ch_u2, p_pic, seed)
         plus = _from(theta_u, extra_u, 0)       # theta_u[e >= 0]
         minus = _from(theta_u2, extra_u2, 1)    # theta_u2[e > 0]
-        diff = plus.sub(theta_u).add(
-            _across_slab(cx, minus, extra_u2, side_u, f_u))
+        diff = plus.sub(theta_u).add(_across_slab(cx, minus, side_u, f_u))
         diff2 = minus.sub(theta_u2).add(
-            _across_slab(cx, plus, extra_u, side_u2, f_u2))
+            _across_slab(cx, plus, side_u2, f_u2))
         items.append(_item("slab-lift", p, loc,
                            diff if not diff.is_zero() else diff2))
     return items
@@ -397,19 +394,19 @@ def _from(g: RingElement, pos: int, least: int) -> RingElement:
                               if k[1][pos] >= least}, g.cone, g.trunc, g.n)
 
 
-def _across_slab(cx: ConeComplex, g: RingElement, pos: int, target,
+def _across_slab(cx: ConeComplex, g: RingElement, target,
                  f: RingElement) -> RingElement:
-    """Each term t^A z^m of g, with e = m[pos] >= 0, carried into the chart
-    ``target`` and multiplied by f^e there."""
-    by_e: dict[int, dict] = {}
-    for key, c in g.terms.items():
-        by_e.setdefault(key[1][pos], {})[key] = c
-    out = RingElement.zero(target, g.trunc, g.n)
-    for e, terms in sorted(by_e.items()):
-        part = RingElement._make(terms, g.cone, g.trunc, g.n)
-        out = out.add(cx.transport_element(part, g.cone, target)
-                      .mul(f.pow_int(e)))
-    return out
+    """Each term t^A z^m of g, with e >= 0 its exponent at the position of
+    the ray off the slab, carried into the adjacent chart ``target`` and
+    multiplied by f^e there.
+
+    Transport takes that exponent e to -e at the position ``back.pos`` of
+    the target's ray off the slab, so this is the crossing automorphism of
+    f with conormal -e_(back.pos), applied after transport.
+    """
+    back = cx.crossing_to(target, g.cone)
+    normal = tuple(-int(j == back.pos) for j in range(g.n))
+    return apply_theta(f, normal, cx.transport_element(g, g.cone, target))
 
 
 # -- joint checks ------------------------------------------------------------
@@ -465,8 +462,10 @@ def localize_at_joint(s: WallStructure, joint) -> LocalInstance:
 def check_joint(s: WallStructure, joint, seed: int = 0) -> JointReport:
     """Consistency verdict of a structure at one joint.
 
-    The joint ``"apex"`` dispatches to the global patching check; (chart,
-    ray) joints of higher-dimensional structures are localized first.
+    The joint ``"apex"`` dispatches to the global patching check, whose
+    first failing item gives the witness: its check, p, location and
+    detail; (chart, ray) joints of higher-dimensional structures are
+    localized first.
     Boundary joints verify that every wall exponent is tangent to the
     boundary.
     """
@@ -476,7 +475,7 @@ def check_joint(s: WallStructure, joint, seed: int = 0) -> JointReport:
         witness = None
         if fail is not None:
             witness = {"check": fail.name, "p": list(fail.p),
-                       "detail": fail.witness}
+                       "location": fail.location, "detail": fail.witness}
         boundary = bool(s.complex.boundary_codim1())
         return JointReport(joint="apex", codim=2, boundary=boundary,
                            verdict="pass" if report.passed else "fail",

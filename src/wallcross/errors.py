@@ -33,14 +33,6 @@ class NotAdjacent(GeometryError):
     """The two maximal cones do not share an interior codimension-one face."""
 
 
-class NotRelative(GeometryError):
-    """Operation requires relative (fibration) data, none present."""
-
-
-class NotSubmersion(GeometryError):
-    """The tropicalized fibration map is not linear across some transition."""
-
-
 class UnsupportedDimension(WallcrossError):
     """Planar enumeration machinery invoked on a complex of dimension != 2."""
 

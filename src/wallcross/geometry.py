@@ -25,8 +25,6 @@ from .errors import (
     MissingNDimCone,
     NonUnimodularChart,
     NotAdjacent,
-    NotRelative,
-    NotSubmersion,
 )
 from .linalg import det, mat_vec
 
@@ -148,7 +146,6 @@ class ConeComplex:
     cones: frozenset   # the good ones, P (face-closed)
     intersections: Mapping[ConeId, tuple]  # interior codim-1 -> D.X numbers
     kinks: Mapping[ConeId, tuple[int, ...]]
-    relative: bool = False
 
     # -- derived data --------------------------------------------------------
 
@@ -252,27 +249,6 @@ class ConeComplex:
                 terms[(A2, m2)] = coeff
         return ring.RingElement._make(terms, c.target, f.trunc, f.n)
 
-    # -- relative structure --------------------------------------------------
-
-    def _require_relative(self):
-        if not self.relative or self.divisors.fiber_multiplicities is None:
-            raise NotRelative("no fibration data on this complex")
-
-    def check_submersion(self):
-        """Fibration must look linear across every interior transition."""
-        self._require_relative()
-        b = self.divisors.fiber_multiplicities
-        for s1, crossings in self._crossing_table.items():
-            for c in crossings.values():
-                for j in range(self.n):
-                    img_val = sum(b[d] * x for d, x in
-                                  zip(c.target, c.vector(_unit(self.n, j))))
-                    if img_val != b[s1[j]]:
-                        raise NotSubmersion(
-                            f"fibration not linear across {c.rho}: basis "
-                            f"vector {j} of {s1} maps to value {img_val} "
-                            f"!= {b[s1[j]]}")
-
 
 def _check_unimodular(matrix):
     d = det(matrix)
@@ -285,7 +261,6 @@ def _check_unimodular(matrix):
 def build_complex(divisors: DivisorTable, good_strata: Iterable[Sequence[int]],
                   intersections: Mapping | Iterable = (),
                   kinks: Mapping | Iterable = (),
-                  relative: bool = False,
                   curve_rank: int | None = None,
                   n: int | None = None) -> ConeComplex:
     """Validate input strata and assemble the cone complex.
@@ -318,7 +293,7 @@ def build_complex(divisors: DivisorTable, good_strata: Iterable[Sequence[int]],
 
     cx = ConeComplex(n=n, curve_rank=curve_rank, divisors=divisors,
                      strata=frozenset(strata), cones=cones,
-                     intersections=inter, kinks=kk, relative=relative)
+                     intersections=inter, kinks=kk)
     validate_complex(cx)
     return cx
 
@@ -394,9 +369,6 @@ def validate_complex(cx: ConeComplex):
                 raise NonUnimodularChart(
                     f"transitions across {c.rho} do not invert each other")
 
-    if cx.relative:
-        cx.check_submersion()
-
 
 # -- JSON interface ----------------------------------------------------------
 
@@ -405,9 +377,16 @@ _GEOMETRY_KEYS = {"schema", "n", "curve_rank", "divisors", "good_strata",
 
 
 def geometry_from_json(data: Mapping) -> ConeComplex:
+    """The complex that ``geometry_to_json`` wrote.  A ``"relative"`` key
+    is accepted only as false: no relative (fibration) setting is
+    implemented."""
     unknown = set(data) - _GEOMETRY_KEYS
     if unknown:
         raise GeometryError(f"unknown geometry keys: {sorted(unknown)}")
+    if "relative" in data and data["relative"] is not False:
+        raise GeometryError(
+            f"geometry key 'relative' must be false, got "
+            f"{data['relative']!r}: no relative setting is implemented")
     div_names = []
     a_coeffs = []
     b_mults = []
@@ -429,7 +408,6 @@ def geometry_from_json(data: Mapping) -> ConeComplex:
         good_strata=[tuple(s) for s in data["good_strata"]],
         intersections=data.get("intersections", ()),
         kinks=data.get("kinks", ()),
-        relative=bool(data.get("relative", False)),
         curve_rank=curve_rank,
         n=n)
 
@@ -452,7 +430,6 @@ def geometry_to_json(cx: ConeComplex) -> dict:
                           for k, v in sorted(cx.intersections.items())],
         "kinks": [{"rho": list(k), "class": list(v)}
                   for k, v in sorted(cx.kinks.items())],
-        "relative": cx.relative,
     }
 
 

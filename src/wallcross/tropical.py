@@ -227,9 +227,7 @@ class UniversalCone:
     chart: ConeId
     nvars: int                       # vertex-position coords then edge lengths
     vertex_offset: tuple[int, ...]
-    edge_offset: tuple[int, ...]
     equalities: tuple[tuple[int, ...], ...]   # rows: sum c*x = 0
-    inequalities: tuple[tuple[tuple[int, ...], bool], ...]  # (row, strict)
     dim_type: int
     dim_out: int
     lattice: tuple[tuple[int, ...], ...]
@@ -286,12 +284,12 @@ def _build_system(t: TropicalType, cx: ConeComplex):
                 ineqs.append((row, True))
             else:
                 eqs.append(row)
-    return chart, nvars, voff, eoff, eqs, ineqs
+    return chart, nvars, voff, eqs, ineqs
 
 
 def universal_cone(t: TropicalType, cx: ConeComplex) -> UniversalCone:
     """Solve the tropical-map constraints of a type exactly."""
-    chart, nvars, voff, eoff, eqs, ineqs = _build_system(t, cx)
+    chart, nvars, voff, eqs, ineqs = _build_system(t, cx)
     n = cx.n
     lattice = kernel_basis(IntegerMatrix.from_rows(eqs or [[0] * nvars]))
     rows = [_substitute((row, 0, strict), lattice) for row, strict in ineqs]
@@ -307,9 +305,7 @@ def universal_cone(t: TropicalType, cx: ConeComplex) -> UniversalCone:
     else:
         dim_out = 0
     return UniversalCone(chart=chart, nvars=nvars, vertex_offset=voff,
-                         edge_offset=eoff,
                          equalities=tuple(tuple(r) for r in eqs),
-                         inequalities=tuple((tuple(r), s) for r, s in ineqs),
                          dim_type=len(lattice), dim_out=dim_out,
                          lattice=tuple(lattice))
 

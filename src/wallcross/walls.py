@@ -83,14 +83,41 @@ class WallStructure:
         return planar_chambers(self)
 
     @cached_property
-    def _logs_by_chart(self) -> dict:
+    def _store(self) -> dict:
         return {}
 
-    @cached_property
-    def _line_data(self) -> dict:
-        """Broken-line data derived from this structure, kept by
-        ``broken``: candidate monomials, line families, sample points."""
-        return {}
+    def _kept(self, key, compute):
+        """``compute()``, computed once per structure and key.
+
+        The keys kept are
+
+        - ``("logs", chart)``: ``wall_logs``;
+        - ``("slab", chart, rho)``: ``slab_function``;
+        - ``("candidates", p chart, p)``: an asymptotic's candidate
+          monomials;
+        - ``("hyperplanes", chart, candidates)``: the lines through the
+          origin that a generic endpoint avoids;
+        - ``("lines", p chart, p, x, decorated)``: a line family, as a
+          tuple;
+        - ``("sample", chamber, candidates, seed)``: a chamber's sample
+          point;
+        - ``("point", chart, numerators)``: a sample point by value, so that
+          samples of one value are one object, and line-family keys holding
+          it compare by identity, not by ``Fraction`` equality;
+        - ``("containing", r chart, r)``: the chambers holding r, as a
+          tuple.
+
+        A check that guards a key (the endpoint genericity of a line family)
+        runs inside ``compute``, so only when the key is computed: the key
+        fixes what the check reads.  The store lives on the frozen
+        structure, so ``replace`` and ``with_walls`` start an empty one; an
+        error raised by ``compute`` is not kept, so it is raised again on
+        every call.
+        """
+        store = self._store
+        if key not in store:
+            store[key] = compute()
+        return store[key]
 
     def wall_logs(self, chart: ConeId) -> dict[int, list]:
         """Log terms of every wall visible in ``chart``, in that chart.
@@ -101,15 +128,42 @@ class WallStructure:
         cell.
         """
         chart = tuple(chart)
-        if chart not in self._logs_by_chart:
-            self._logs_by_chart[chart] = {
-                i: ring.log_unipotent(self.complex.transport_element(
-                    w.function, w.cone, chart)
-                ).sorted_terms()
-                for i, w in enumerate(self.walls)
-                if w.cone == chart
-                or (w.rho is not None and set(w.rho) <= set(chart))}
-        return self._logs_by_chart[chart]
+        return self._kept(("logs", chart), lambda: {
+            i: ring.log_unipotent(self.complex.transport_element(
+                w.function, w.cone, chart)).sorted_terms()
+            for i, w in enumerate(self.walls)
+            if w.cone == chart
+            or (w.rho is not None and set(w.rho) <= set(chart))})
+
+    def slab_function(self, chart: ConeId, rho: ConeId
+                      ) -> tuple[RingElement, list, int | None]:
+        """(f, the sorted log terms of f, the index of the first slab on
+        rho): f is the product of the functions of the slabs on the cell
+        rho, in ``chart``, a chart containing rho.  On a bare ray f = 1,
+        with no log terms and no index.
+
+        The product does not depend on the chart it is formed in:
+        ``check_wall`` makes slab exponents tangent to rho, so
+        ``Crossing.monomial`` leaves their classes alone and transport is
+        multiplicative.  It does not depend on where a broken line crosses
+        rho either: on a surface a slab's support is its whole ray, so
+        ``broken._holds`` passes for every slab at every point of rho.  A
+        slab of a threefold may hold only part of its cell, and there the
+        product must be taken per crossing point.
+        """
+        chart, rho = tuple(chart), tuple(rho)
+
+        def compute():
+            f = RingElement.one(chart, self.trunc, self.complex.n)
+            first = None
+            for i, w in enumerate(self.walls):
+                if w.rho == rho:
+                    f = f.mul(self.complex.transport_element(
+                        w.function, w.cone, chart))
+                    first = i if first is None else first
+            return f, ring.log_unipotent(f).sorted_terms(), first
+
+        return self._kept(("slab", chart, rho), compute)
 
     # -- serialization -------------------------------------------------------
 

@@ -408,32 +408,6 @@ def test_slab_bend_leaves_sum_to_the_kick(number):
     assert bends > 0
 
 
-@pytest.mark.parametrize("number", [-1, 0, 1])
-def test_decorated_slab_crossing_builds_the_slab_product_once(
-        number, monkeypatch):
-    """Every line from a point of chart (0,2) crosses the slab once, so a
-    decorated enumeration crosses the same facets as a plain one, and it
-    reads its bends' log terms from the slab product it built there: both
-    build the product equally often."""
-    built = []
-    slab_function = broken._slab_function
-
-    def counting_slab_function(*args):
-        built.append(args)
-        return slab_function(*args)
-
-    monkeypatch.setattr(broken, "_slab_function", counting_slab_function)
-    counts = []
-    for decorated in (False, True):
-        built.clear()
-        s = two_cell(number, [((0, 1), (1,), (1, 0))])
-        for a, b in [(0, 2), (1, 2), (3, 1)]:
-            p = PointInChart((0, 1), (a, b), ambient=True)
-            assert enumerate_lines(s, p, X_OTHER_CHART, decorated=decorated)
-        counts.append(len(built))
-    assert counts[0] > 0 and counts[1] == counts[0]
-
-
 # -- toric cycles ------------------------------------------------------------
 
 # self-intersections D_i^2 of the boundary cycle of a toric surface

@@ -58,6 +58,27 @@ def test_validate_fixture_passes(capsys):
     assert payload["schema"] == "wallcross/1" and payload["valid"]
 
 
+@pytest.mark.parametrize("relative", [False, True])
+def test_relative_key_validates_only_as_false(tmp_path, capsys, relative):
+    """The threefold fixture carries ``"relative": false`` and validates;
+    no relative setting is implemented, so true exits 1 with a geometry
+    error naming the key."""
+    with open(BLOWUP) as fh:
+        data = json.load(fh)
+    assert data["relative"] is False
+    data["relative"] = relative
+    path = tmp_path / "geometry.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "validate", "-g", str(path))
+    if relative:
+        assert code == 1
+        diagnostic = json.loads(err)
+        assert diagnostic["error"] == "GeometryError"
+        assert "'relative'" in diagnostic["message"]
+    else:
+        assert code == 0 and json.loads(out)["valid"]
+
+
 def test_missing_file_is_usage_error(capsys):
     code, _, err = run(capsys, "validate", "-g", "/nonexistent/g.json")
     assert code == 2

@@ -1,4 +1,4 @@
-"""Cone-complex tests: validation, charts, fibration data."""
+"""Cone-complex tests: validation, charts, points."""
 
 from __future__ import annotations
 
@@ -16,8 +16,6 @@ from wallcross.errors import (
     GeometryError,
     MissingNDimCone,
     NotAdjacent,
-    NotRelative,
-    NotSubmersion,
 )
 from wallcross.geometry import (
     Crossing,
@@ -46,11 +44,10 @@ def loop_matrix(cx, cone_path):
     return tuple(tuple(row) for row in result)
 
 
-def simple_divisors(k, a=None, b=None):
+def simple_divisors(k, a=None):
     return DivisorTable(
         names=tuple(f"D{i}" for i in range(k)),
-        a_coeffs=tuple(Fraction(a[i]) if a else Fraction(0) for i in range(k)),
-        fiber_multiplicities=tuple(b) if b else None)
+        a_coeffs=tuple(Fraction(a[i]) if a else Fraction(0) for i in range(k)))
 
 
 def fan_2d(num_rays, curve_rank=1, intersections=None, kinks=None, **kw):
@@ -279,11 +276,17 @@ def test_unsorted_facet_keeps_its_numbers_with_its_rays(blowup):
     numbers = dict(blowup.intersections)
     numbers[(1, 0)] = numbers.pop((0, 1))[::-1]
     again = build_complex(blowup.divisors, blowup.strata, numbers,
-                          blowup.kinks, relative=blowup.relative,
+                          blowup.kinks,
                           curve_rank=blowup.curve_rank, n=blowup.n)
     assert again == blowup
     assert again.crossing_to(s1, s2).matrix == \
         ((1, 0, 0), (0, 1, 1), (0, 0, -1))
+
+
+def test_geometry_json_writes_no_relative_key(blowup):
+    data = geometry_to_json(blowup)
+    assert "relative" not in data
+    assert geometry_from_json(data) == blowup
 
 
 def test_unknown_keys_rejected(blowup):
@@ -293,7 +296,7 @@ def test_unknown_keys_rejected(blowup):
         geometry_from_json(data)
 
 
-# -- relative structure ------------------------------------------------------
+# -- points ------------------------------------------------------------------
 
 def test_point_hash_is_the_dataclass_hash():
     """A point's hash is computed once, with the value and equality of the
@@ -306,28 +309,3 @@ def test_point_hash_is_the_dataclass_hash():
     assert x != PointInChart((0, 1), (1, Fraction(2, 7)))
     assert x != PointInChart((0, 2), (1, Fraction(2, 7)), ambient=True)
     assert {x: 1}[same] == 1
-
-
-def test_absolute_complex_rejects_fibration_queries():
-    cx = build_complex(simple_divisors(2), [(0, 1)], curve_rank=1)
-    with pytest.raises(NotRelative):
-        cx.check_submersion()
-
-
-def test_submersion_violation_detected():
-    # weights that are not linear across the transition with number 0
-    table = simple_divisors(3, b=(0, 1, 2))
-    with pytest.raises(NotSubmersion):
-        build_complex(table, [(0, 1), (0, 2)],
-                      intersections={(0,): (0,)}, curve_rank=1, relative=True)
-
-
-def test_submersion_ok_when_linear():
-    # across e2 -> -e2' the values must be opposite: b1 = 1, b2 = 0 fails on
-    # the flip unless b1 + b2 = -number * b_shared; with number 0, b1 = -b2
-    # is impossible for nonnegative weights unless both vanish
-    table = simple_divisors(3, b=(1, 0, 0))
-    build_complex(table, [(0, 1), (0, 2)], intersections={(0,): (0,)},
-                  curve_rank=1, relative=True)
-
-

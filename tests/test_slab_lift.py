@@ -4,17 +4,31 @@
 
 from __future__ import annotations
 
+import json
+import random
 import time
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from wallcross.broken import alpha_trop, theta
-from wallcross.consistency import JointReport, check_structure, patching_check
+from wallcross import ring
+from wallcross.broken import (
+    alpha_trop,
+    decorated_to_type,
+    enumerate_lines,
+    theta,
+)
+from wallcross.consistency import (
+    JointReport,
+    _across_slab,
+    check_joint,
+    check_structure,
+    patching_check,
+)
 from wallcross.geometry import PointInChart
 from wallcross.ring import RingElement
-from wallcross.walls import Wall
+from wallcross.walls import Wall, WallStructure, refine
 
 from tests.test_broken import ray_exponent, toric_cycle, two_cell
 
@@ -111,3 +125,118 @@ def test_slab_lift_transports_each_slab_into_one_chart():
     failure = report.first_failure()
     assert failure.name == "slab-lift"
     assert failure.location == ("slab", (0,))
+
+
+def test_apex_witness_names_the_failing_slab():
+    report = check_joint(pentagon(4, squared=True), "apex")
+    assert report.verdict == "fail"
+    assert report.witness["check"] == "slab-lift"
+    assert report.witness["location"] == ("slab", (0,))
+    json.dumps(report.to_json())
+
+
+# -- the slab product, kept once per (chart, ray) ------------------------------
+
+SLAB_STRUCTURES = {
+    **{f"two-cell {k}": (lambda k=k: two_cell(k, [((0, 1), (1,), (1, 0))]))
+       for k in (-1, 0, 1)},
+    "two-cell 0, two slabs": lambda: two_cell(
+        0, [((0, 1), (1,), (1, 0)), ((0, 2), (2,), (1, 0))]),
+    "pentagon": lambda: pentagon(3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SLAB_STRUCTURES))
+def test_each_slab_product_takes_one_logarithm(name, monkeypatch):
+    """Plain and decorated enumeration, the types of the decorated lines
+    and the patching check take at most one logarithm of a slab product
+    per (chart, ray) of a structure; every other logarithm is a wall's,
+    taken in ``wall_logs``."""
+    slab_logs, in_wall_logs = [], []
+    log_unipotent, wall_logs = ring.log_unipotent, WallStructure.wall_logs
+
+    def counting_log(f):
+        if not in_wall_logs:
+            slab_logs.append(f.cone)
+        return log_unipotent(f)
+
+    def flagged_wall_logs(self, chart):
+        in_wall_logs.append(chart)
+        try:
+            return wall_logs(self, chart)
+        finally:
+            in_wall_logs.pop()
+
+    monkeypatch.setattr(ring, "log_unipotent", counting_log)
+    monkeypatch.setattr(WallStructure, "wall_logs", flagged_wall_logs)
+    # refined, so that the patching check runs on this structure and not
+    # on a refined copy with a store of its own
+    s = refine(SLAB_STRUCTURES[name]())
+    cx = s.complex
+    for chart in cx.maximal_cones:
+        x = PointInChart(chart, (Fraction(1, 3), Fraction(2, 7)))
+        for p in [(1, 0), (0, 1), (1, 1), (2, 1)]:
+            p = PointInChart(x.cone, p)
+            assert enumerate_lines(s, p, x)
+            for d in enumerate_lines(s, p, x, decorated=True):
+                decorated_to_type(d, s)
+    patching_check(s)
+    assert slab_logs
+    for chart in cx.maximal_cones:
+        assert slab_logs.count(chart) <= len(cx.crossings(chart))
+
+
+def reference_across_slab(cx, g, pos, target, f):
+    """Each term of g grouped by its exponent e at ``pos``, each group
+    carried into ``target`` and multiplied by f^e there."""
+    by_e = {}
+    for key, c in g.terms.items():
+        by_e.setdefault(key[1][pos], {})[key] = c
+    out = RingElement.zero(target, g.trunc, g.n)
+    for e, terms in sorted(by_e.items()):
+        part = RingElement._make(terms, g.cone, g.trunc, g.n)
+        out = out.add(cx.transport_element(part, g.cone, target)
+                      .mul(f.pow_int(e)))
+    return out
+
+
+def random_element(rng, cone, trunc, exponent, terms, least_class=0):
+    """A sum of ``terms`` seeded monomials of class at least
+    ``least_class``, with exponents drawn by ``exponent()``."""
+    out = RingElement.zero(cone, trunc, 2)
+    for _ in range(terms):
+        out = out.add(RingElement.monomial(
+            (rng.randint(least_class, trunc.bound),), exponent(),
+            rng.randint(-3, 3), cone, trunc))
+    return out
+
+
+@pytest.mark.parametrize("name", ["two-cell -1", "two-cell 0", "two-cell 1",
+                                  "pentagon"])
+def test_across_slab_matches_the_group_by_exponent_reference(name):
+    """Seeded g in each chart of a slab ray, with exponents e >= 0 off the
+    ray, carried across it with a seeded slab product 1 + terms along the
+    ray: transport followed by ``apply_theta`` equals transporting each
+    exponent group and multiplying it by that power of the product."""
+    rng = random.Random(2105)
+    s = SLAB_STRUCTURES[name]()
+    cx = s.complex
+    checked = 0
+    for source in cx.maximal_cones:
+        for c in cx.crossings(source).values():
+            # the slab's ray in the target chart, then off it in the source
+            on_ray = 1 - cx.crossing_to(c.target, source).pos
+            for _ in range(10):
+                f = RingElement.one(c.target, s.trunc, 2).add(random_element(
+                    rng, c.target, s.trunc,
+                    lambda: tuple(rng.randint(-3, 3) * int(i == on_ray)
+                                  for i in range(2)), 3, least_class=1))
+                g = random_element(
+                    rng, source, s.trunc,
+                    lambda: tuple(rng.randint(0, 3) if i == c.pos
+                                  else rng.randint(-3, 3) for i in range(2)),
+                    6)
+                assert _across_slab(cx, g, c.target, f) == \
+                    reference_across_slab(cx, g, c.pos, c.target, f)
+                checked += 1
+    assert checked

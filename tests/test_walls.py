@@ -39,10 +39,9 @@ from wallcross.walls import (
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
-def divisors(k, b=None):
+def divisors(k):
     return DivisorTable(names=tuple(f"D{i}" for i in range(k)),
-                        a_coeffs=(Fraction(0),) * k,
-                        fiber_multiplicities=tuple(b) if b else None)
+                        a_coeffs=(Fraction(0),) * k)
 
 
 def quadrant_complex(curve_rank=1):
@@ -271,7 +270,7 @@ def test_slab_zplus_localizes_to_transversal():
             plus = _from(RingElement.monomial((0,), (a, b), 1, (0, 1), t3),
                          1, 0)
             assert plus.is_zero() == (b < 0)
-            assert _across_slab(cx, plus, 1, (0, 2), f) == \
+            assert _across_slab(cx, plus, (0, 2), f) == \
                 (slab_crossing(number, a, b, (0, 2), t3) if b >= 0
                  else RingElement.zero((0, 2), t3, 2))
 
@@ -287,7 +286,7 @@ def test_slab_zminus_localizes_with_kink_and_function():
             minus = _from(RingElement.monomial((0,), (a, b), 1, (0, 2), t3),
                           1, 1)
             assert minus.is_zero() == (b <= 0)
-            assert _across_slab(cx, minus, 1, (0, 1), f) == \
+            assert _across_slab(cx, minus, (0, 1), f) == \
                 (slab_crossing(number, a, b, (0, 1), t3) if b > 0
                  else RingElement.zero((0, 1), t3, 2))
 

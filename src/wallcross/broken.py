@@ -298,10 +298,10 @@ def _ray_events(s: WallStructure, chart, nums, den, m):
 def _bend_logs(s: WallStructure, chart, wall_index, rho=None):
     """The log terms that a decorated bend's ``mu`` indexes: those of its
     wall in ``chart``, or for a bend on the slab cell ``rho``, those of the
-    slab product there (``WallStructure.slab_function``)."""
+    slab product there (``WallStructure.slab_logs``)."""
     if rho is None:
         return s.wall_logs(chart)[wall_index]
-    return s.slab_function(chart, rho)[1]
+    return s.slab_logs(chart, rho)
 
 
 def _same_asymptotic(cx, chart, m, p_cone, p):
@@ -360,9 +360,9 @@ def _trace(s, chart, nums, den, A, m, p_cone, p, decorated, depth):
     if c is None:
         return  # the ray leaves through the boundary of B
     q_nums, q_den = _along(nums, den, m, exit_t)
-    f, logs, first = s.slab_function(chart, c.rho)
+    f, first = s.slab_function(chart, c.rho)
     bends = [("straight", A, m, None)] + _bends(
-        f, -m[pos], A, m, logs if decorated else None)
+        f, -m[pos], A, m, s.slab_logs(chart, c.rho) if decorated else None)
     point = _point(q_nums, q_den) if len(bends) > 1 else None
     target_nums = c.vector(q_nums)
     for cid, A2, m2, fields in bends:

@@ -7,8 +7,10 @@ index (wall multiplicities, gluing multiplicities).
 One elimination (``_eliminate``) brings a matrix to Smith form.  Each entry
 point tracks only the transforms it reads: ``smith_normal_form`` both U
 and V, ``kernel_basis`` V, ``smith_row_transform`` U and
-``invariant_factors`` (behind ``cokernel_order``) neither.  Every transform
-that is built is checked unimodular.
+``invariant_factors`` (behind ``cokernel_order`` on a wide matrix or for
+its torsion) neither.  Every transform that is built is checked
+unimodular.  A square or tall matrix's full cokernel order needs no Smith
+form: it is read from ``linalg.det`` or from the shape.
 """
 
 from __future__ import annotations
@@ -260,7 +262,15 @@ def cokernel_order(M: IntegerMatrix, torsion_only: bool = False):
     With ``torsion_only`` the free part is ignored (product of the nonzero
     invariant factors).  Otherwise returns the full order: the product of
     invariant factors when M has full row rank over Q, else ``INFINITE``.
+    The full order is read from the shape where it can be, with no Smith
+    elimination: a matrix with more rows than columns never has full row
+    rank, and a square one has order |det M|, infinite when det M = 0.
     """
+    if not torsion_only:
+        if M.rows > M.cols:
+            return INFINITE
+        if M.rows == M.cols:
+            return abs(det(M.to_rows())) or INFINITE
     nonzero = [d for d in invariant_factors(M) if d != 0]
     if torsion_only or len(nonzero) == M.rows:
         return prod(nonzero)

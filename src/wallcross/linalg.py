@@ -1,20 +1,22 @@
 """Exact linear algebra on small dense matrices.
 
-Linear solves (and cone coordinates through them) work over
-fractions.Fraction and serve the polyhedral and tropical machinery; integer
-kernels live in ``lattice``.  ``rank`` and ``det`` are fraction-free: they
-take an integer matrix and run Bareiss elimination on it, so every entry
-stays an ``int``.  Matrices are tuples/lists of rows.
+Every elimination here is fraction-free: entries stay ``int`` and each
+division is exact.  ``rank`` and ``det`` run Bareiss elimination on an
+integer matrix.  ``gauss_jordan`` runs its Gauss–Jordan form on a matrix
+augmented by right-hand sides; ``solve_columns`` (and cone coordinates
+through it) builds a ``Fraction`` only for each pivot coordinate of a
+solution.  They serve the polyhedral and tropical machinery; integer
+kernels live in ``lattice``.  Matrices are tuples/lists of rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 
 Vector = tuple[Fraction, ...]
-Matrix = list[list[Fraction]]
 
 
 def mat_vec(m: Sequence[Sequence], v: Sequence) -> tuple:
@@ -22,69 +24,87 @@ def mat_vec(m: Sequence[Sequence], v: Sequence) -> tuple:
     return tuple(sum(a * b for a, b in zip(row, v)) for row in m)
 
 
-def _rref(m: Matrix, cols: int | None = None) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form; returns (rref, pivot column indices).
+def _integer_row(row: list) -> list[int]:
+    """A row of ints and ``Fraction``s as ints: the row itself when it holds
+    no ``Fraction``, else scaled by the lcm of its denominators."""
+    if Fraction not in map(type, row):
+        return row
+    den = lcm(*[x.denominator for x in row])
+    return [x.numerator * (den // x.denominator) for x in row]
 
-    Pivots are taken in the first ``cols`` columns only (all by default);
-    the columns after them are carried along as right-hand sides.
+
+def gauss_jordan(m: Sequence[Sequence], bs: Sequence[Sequence]
+                 ) -> tuple[list[int], int, list[list[int] | None]]:
+    """Fraction-free Gauss–Jordan elimination of m augmented by every b in
+    bs, all at once: (the pivot columns of m, the common pivot d, and for
+    each b the numerators of its solution at the pivot columns, or None
+    where m x = b is inconsistent).
+
+    The solution with every free coordinate 0 is x[pivots[k]] = nums[k] / d.
+    A row holding ``Fraction`` entries is first scaled by the lcm of its
+    denominators.  Pivots are the first nonzero entry of each column,
+    top-down, so the pivot columns and the solution are those of the
+    rational reduced row echelon form.  Each pivot step updates every other
+    row, in the columns after the pivot's (the only ones read later), by
+    (p·x − f·y) // prev, with p the pivot, f the row's entry in the pivot
+    column, y the pivot row's entry and prev the previous pivot.  As in
+    ``det`` every such entry is a minor of the scaled matrix, so the
+    division is exact, and the pivot rows share one pivot, the last: d
+    (1 with none).
     """
-    m = [row[:] for row in m]
-    rows = len(m)
-    if cols is None:
-        cols = len(m[0]) if rows else 0
+    cols = len(m[0]) if m else 0
+    a = [_integer_row([*row, *(b[i] for b in bs)])
+         for i, row in enumerate(m)]
+    rows, width = len(a), cols + len(bs)
     pivots: list[int] = []
-    r = 0
+    r, prev = 0, 1
     for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        piv = next((i for i in range(r, rows) if a[i][c]), None)
         if piv is None:
             continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = m[r][c]
-        m[r] = [x / inv for x in m[r]]
+        a[r], a[piv] = a[piv], a[r]
+        p, top = a[r][c], a[r]
         for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+            if i != r:
+                row = a[i]
+                f = row[c]
+                for j in range(c + 1, width):
+                    row[j] = (p * row[j] - f * top[j]) // prev
         pivots.append(c)
+        prev = p
         r += 1
         if r == rows:
             break
-    return m, pivots
+    nums: list[list[int] | None] = []
+    for k in range(cols, width):
+        col = [row[k] for row in a]
+        nums.append(None if any(col[r:]) else col[:r])
+    return pivots, prev, nums
 
 
 def solve_columns(m: Sequence[Sequence], bs: Sequence[Sequence]
                   ) -> tuple[list[Vector | None], int]:
     """One exact solution of m x = b for each b in bs (None where m x = b
-    is inconsistent), and the rank of m, all from one elimination of m
-    augmented by every b."""
+    is inconsistent), and the rank of m, all from one ``gauss_jordan``."""
     cols = len(m[0]) if m else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(b[i]) for b in bs]
-           for i, row in enumerate(m)]
-    red, pivots = _rref(aug, cols)
-    rk = len(pivots)
+    pivots, d, nums = gauss_jordan(m, bs)
     out: list[Vector | None] = []
-    for k in range(cols, cols + len(bs)):
-        if any(row[k] != 0 for row in red[rk:]):
+    for col in nums:
+        if col is None:
             out.append(None)
             continue
         x = [Fraction(0)] * cols
-        for r, p in enumerate(pivots):
-            x[p] = red[r][k]
+        for p, num in zip(pivots, col):
+            x[p] = Fraction(num, d)
         out.append(tuple(x))
-    return out, rk
-
-
-def solve(m: Sequence[Sequence], b: Sequence) -> Vector | None:
-    """One exact solution of m x = b, or None if inconsistent."""
-    [x], _rank = solve_columns(m, [b])
-    return x
+    return out, len(pivots)
 
 
 def cone_coords(generators: Sequence[Sequence], v: Sequence) -> Vector | None:
     """Nonnegative λ with Σ λ_i·generators[i] = v, or None if v is outside
     the cone."""
     cols = [[g[j] for g in generators] for j in range(len(v))]
-    sol = solve(cols, v)
+    [sol], _rank = solve_columns(cols, [v])
     if sol is None or any(c < 0 for c in sol):
         return None
     return sol

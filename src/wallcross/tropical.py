@@ -583,17 +583,24 @@ def splitting_multiplicity(pieces: Sequence[SplitPiece],
 
 def _in_lattice_basis(vecs, lattice):
     """Coordinates of integer vectors in a stratum-lattice basis, all from
-    one elimination."""
+    one fraction-free elimination: each is its numerator divided by the
+    common pivot, which must leave no remainder."""
     if not vecs:
         return []
     basis = [[b[j] for b in lattice] for j in range(len(vecs[0]))]
+    pivots, d, nums = linalg.gauss_jordan(basis, vecs)
     out = []
-    for vec, sol in zip(vecs, linalg.solve_columns(basis, vecs)[0]):
-        if sol is None:
+    for vec, col in zip(vecs, nums):
+        if col is None:
             raise TropicalError(
                 f"evaluation difference {vec} leaves the stratum lattice span")
-        if any(x.denominator != 1 for x in sol):
-            raise TropicalError(
-                f"evaluation difference {vec} is not in the stratum lattice")
-        out.append([int(x) for x in sol])
+        coords = [0] * len(lattice)
+        for p, num in zip(pivots, col):
+            q, rem = divmod(num, d)
+            if rem:
+                raise TropicalError(
+                    f"evaluation difference {vec} is not in the stratum "
+                    "lattice")
+            coords[p] = q
+        out.append(coords)
     return out

@@ -93,6 +93,7 @@ class WallStructure:
 
         - ``("logs", chart)``: ``wall_logs``;
         - ``("slab", chart, rho)``: ``slab_function``;
+        - ``("slab logs", chart, rho)``: ``slab_logs``;
         - ``("candidates", p chart, p)``: an asymptotic's candidate
           monomials;
         - ``("hyperplanes", chart, candidates)``: the lines through the
@@ -136,11 +137,10 @@ class WallStructure:
             or (w.rho is not None and set(w.rho) <= set(chart))})
 
     def slab_function(self, chart: ConeId, rho: ConeId
-                      ) -> tuple[RingElement, list, int | None]:
-        """(f, the sorted log terms of f, the index of the first slab on
-        rho): f is the product of the functions of the slabs on the cell
-        rho, in ``chart``, a chart containing rho.  On a bare ray f = 1,
-        with no log terms and no index.
+                      ) -> tuple[RingElement, int | None]:
+        """(f, the index of the first slab on rho): f is the product of the
+        functions of the slabs on the cell rho, in ``chart``, a chart
+        containing rho.  On a bare ray f = 1, with no index.
 
         The product does not depend on the chart it is formed in:
         ``check_wall`` makes slab exponents tangent to rho, so
@@ -161,9 +161,18 @@ class WallStructure:
                     f = f.mul(self.complex.transport_element(
                         w.function, w.cone, chart))
                     first = i if first is None else first
-            return f, ring.log_unipotent(f).sorted_terms(), first
+            return f, first
 
         return self._kept(("slab", chart, rho), compute)
+
+    def slab_logs(self, chart: ConeId, rho: ConeId) -> list:
+        """The sorted log terms of the slab product on rho in ``chart``
+        (``slab_function``).  Only decorated lines read them, so they are
+        taken on first read, not with the product."""
+        chart, rho = tuple(chart), tuple(rho)
+        f, _first = self.slab_function(chart, rho)
+        return self._kept(("slab logs", chart, rho),
+                          lambda: ring.log_unipotent(f).sorted_terms())
 
     # -- serialization -------------------------------------------------------
 

@@ -230,7 +230,7 @@ def test_extra_transverse_factor_in_codim_one(cx, u_inc, ks):
 def test_multiplicity_computes_each_quantity_once(cx, monkeypatch):
     """One elimination of the difference map, read for both its rank and its
     index and building neither transform (so no full Smith form), and one
-    exact elimination per gluing edge, not one per column."""
+    Gauss–Jordan elimination per gluing edge, not one per column."""
     from wallcross import lattice, linalg, tropical
 
     pieces, glue = bend_configuration((3, -2), (2, 1), 0)
@@ -257,7 +257,8 @@ def test_multiplicity_computes_each_quantity_once(cx, monkeypatch):
     monkeypatch.setattr(lattice, "smith_normal_form",
                         counted(smith_calls, lattice.smith_normal_form))
     monkeypatch.setattr(linalg, "rank", counted(rank_calls, linalg.rank))
-    monkeypatch.setattr(linalg, "_rref", counted(eliminations, linalg._rref))
+    monkeypatch.setattr(linalg, "gauss_jordan",
+                        counted(eliminations, linalg.gauss_jordan))
 
     res = splitting_multiplicity(pieces, glue, cx)
     assert res.multiplicity == 5 and res.rank_ok

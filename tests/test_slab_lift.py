@@ -146,12 +146,9 @@ SLAB_STRUCTURES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(SLAB_STRUCTURES))
-def test_each_slab_product_takes_one_logarithm(name, monkeypatch):
-    """Plain and decorated enumeration, the types of the decorated lines
-    and the patching check take at most one logarithm of a slab product
-    per (chart, ray) of a structure; every other logarithm is a wall's,
-    taken in ``wall_logs``."""
+def count_slab_logs(monkeypatch):
+    """The charts of the logarithms taken from now on outside
+    ``wall_logs``, which are those of slab products."""
     slab_logs, in_wall_logs = [], []
     log_unipotent, wall_logs = ring.log_unipotent, WallStructure.wall_logs
 
@@ -169,21 +166,48 @@ def test_each_slab_product_takes_one_logarithm(name, monkeypatch):
 
     monkeypatch.setattr(ring, "log_unipotent", counting_log)
     monkeypatch.setattr(WallStructure, "wall_logs", flagged_wall_logs)
+    return slab_logs
+
+
+@pytest.mark.parametrize("name", sorted(SLAB_STRUCTURES))
+def test_each_slab_product_takes_one_logarithm(name, monkeypatch):
+    """Plain and decorated enumeration, the types of the decorated lines
+    and the patching check take at most one logarithm of a slab product
+    per (chart, ray) of a structure; every other logarithm is a wall's,
+    taken in ``wall_logs``.  Asymptotics are taken in every chart, so that
+    decorated lines cross the slabs; in x's own chart there is always a
+    line."""
+    slab_logs = count_slab_logs(monkeypatch)
     # refined, so that the patching check runs on this structure and not
     # on a refined copy with a store of its own
     s = refine(SLAB_STRUCTURES[name]())
     cx = s.complex
     for chart in cx.maximal_cones:
         x = PointInChart(chart, (Fraction(1, 3), Fraction(2, 7)))
-        for p in [(1, 0), (0, 1), (1, 1), (2, 1)]:
-            p = PointInChart(x.cone, p)
-            assert enumerate_lines(s, p, x)
-            for d in enumerate_lines(s, p, x, decorated=True):
-                decorated_to_type(d, s)
+        for p_chart in cx.maximal_cones:
+            for p in [(1, 0), (0, 1), (1, 1), (2, 1)]:
+                p = PointInChart(p_chart, p)
+                assert enumerate_lines(s, p, x) or p_chart != chart
+                for d in enumerate_lines(s, p, x, decorated=True):
+                    decorated_to_type(d, s)
     patching_check(s)
     assert slab_logs
     for chart in cx.maximal_cones:
         assert slab_logs.count(chart) <= len(cx.crossings(chart))
+
+
+def test_plain_lines_take_no_slab_logarithm(monkeypatch):
+    """Only a decorated bend reads a slab product's log terms, so plain
+    enumeration and the patching check on the refined pentagon take none,
+    and still pass."""
+    slab_logs = count_slab_logs(monkeypatch)
+    s = refine(pentagon(4))
+    for chart in s.complex.maximal_cones:
+        x = PointInChart(chart, (Fraction(1, 3), Fraction(2, 7)))
+        for p in [(1, 0), (0, 1), (1, 1), (2, 1)]:
+            assert enumerate_lines(s, PointInChart(chart, p), x)
+    assert patching_check(s).passed
+    assert slab_logs == []
 
 
 def reference_across_slab(cx, g, pos, target, f):

@@ -170,15 +170,16 @@ def test_bent_broken_line_classified():
 
 
 def test_classify_takes_one_kernel(monkeypatch):
-    """The universal cone's integer kernel is the only kernel: no rational
-    elimination, and two Smith eliminations, one for the kernel that builds
-    V alone and one for the out-leg cokernel that builds no transform."""
+    """The universal cone's integer kernel is the only kernel: no
+    Gauss–Jordan solve, and two Smith eliminations, one for the kernel that
+    builds V alone and one for the out-leg cokernel that builds no
+    transform."""
     from wallcross import lattice, linalg, tropical
 
     t, cx = bent_line_type(), quadrant_complex()
     uc = tropical.universal_cone(t, cx)
     kernel_rows = [list(r) for r in uc.equalities] or [[0] * uc.nvars]
-    eliminations, rational = [], []
+    eliminations, solves = [], []
     real_eliminate = lattice._eliminate
 
     def eliminate(a, cols, u=None, vt=None):
@@ -193,10 +194,11 @@ def test_classify_takes_one_kernel(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(lattice, "_eliminate", eliminate)
-    monkeypatch.setattr(linalg, "_rref", counted(rational, linalg._rref))
+    monkeypatch.setattr(linalg, "gauss_jordan",
+                        counted(solves, linalg.gauss_jordan))
     cls = classify(t, cx)
     assert cls.kind == "broken-line"
-    assert rational == []
+    assert solves == []
     assert len(eliminations) == 2
     assert [tracked for rows, *tracked in eliminations
             if rows == kernel_rows] == [[False, True]]

@@ -149,9 +149,10 @@ class ConeComplex:
 
     # -- derived data --------------------------------------------------------
 
-    @property
-    def maximal_cones(self) -> list[ConeId]:
-        return sorted(c for c in self.cones if len(c) == self.n)
+    @cached_property
+    def maximal_cones(self) -> tuple[ConeId, ...]:
+        """The cones of full dimension, sorted; taken once per complex."""
+        return tuple(sorted(c for c in self.cones if len(c) == self.n))
 
     def codim1_cones(self) -> list[ConeId]:
         return sorted(c for c in self.cones

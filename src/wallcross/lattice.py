@@ -9,8 +9,11 @@ point tracks only the transforms it reads: ``smith_normal_form`` both U
 and V, ``kernel_basis`` V, ``smith_row_transform`` U and
 ``invariant_factors`` (behind ``cokernel_order`` on a wide matrix or for
 its torsion) neither.  Every transform that is built is checked
-unimodular.  A square or tall matrix's full cokernel order needs no Smith
-form: it is read from ``linalg.det`` or from the shape.
+unimodular.  The elimination leaves out only arithmetic that cannot
+change a result (a pivot search past an entry of size 1, column steps on
+rows whose pivot-column entry is zero), so D, U and V do not depend on
+those shortcuts.  A square or tall matrix's full cokernel order needs no
+Smith form: it is read from ``linalg.det`` or from the shape.
 """
 
 from __future__ import annotations
@@ -35,8 +38,9 @@ class IntegerMatrix:
     def __post_init__(self):
         if len(self.entries) != self.rows * self.cols:
             raise ValueError("entry array length must equal rows*cols")
-        if not all(isinstance(e, int) for e in self.entries):
-            raise ValueError("entries must be integers")
+        for e in self.entries:
+            if not isinstance(e, int):
+                raise ValueError(f"non-integer matrix entry {e!r}")
 
     @classmethod
     def _make(cls, rows: int, cols: int, int_rows: Iterable[Sequence[int]]
@@ -51,11 +55,13 @@ class IntegerMatrix:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntegerMatrix":
+        """The matrix with these rows; a ragged row or a non-integer entry
+        is a ``ValueError``."""
         r = len(rows)
         c = len(rows[0]) if r else 0
         if any(len(row) != c for row in rows):
             raise ValueError("ragged rows")
-        return cls(r, c, tuple(int(x) for row in rows for x in row))
+        return cls(r, c, tuple(x for row in rows for x in row))
 
     def __getitem__(self, ij: tuple[int, int]) -> int:
         i, j = ij
@@ -90,41 +96,21 @@ def _eliminate(a: list[list[int]], cols: int,
     """Bring the integer rows ``a`` (``cols`` columns) to Smith form in place.
 
     Pivot selection: smallest nonzero absolute value in the remaining block,
-    first in row-major order (keeps intermediate entries small).  Each row
-    step is also applied to ``u`` and each column step to ``vt``, which
-    holds the columns of V as its rows, when the caller passes them.  The
-    steps depend on ``a`` alone, so tracking a transform or not changes
+    first in row-major order (keeps intermediate entries small); the search
+    stops at the first entry of size 1, which no later entry can undercut.
+    Row and column t are then cleared by gcd descent: a row pass reduces
+    column t below the pivot, a column pass reduces row t right of it, and
+    each pass swaps a nonzero remainder into the pivot, until a round swaps
+    nothing.  After a row pass without a swap, column t is zero below the
+    pivot, so a column step changes only the pivot row of ``a`` until a
+    column swap brings other entries into column t.
+
+    Each row step is also applied to ``u`` and each column step to ``vt``,
+    which holds the columns of V as its rows, when the caller passes them.
+    The steps depend on ``a`` alone, so tracking a transform or not changes
     neither D nor the other transform.  Deterministic.
     """
     r, c = len(a), cols
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        if u is not None:
-            u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        if vt is not None:
-            vt[i], vt[j] = vt[j], vt[i]
-
-    def add_row(src, dst, mult):  # row dst += mult * row src
-        a[dst] = [x + mult * y for x, y in zip(a[dst], a[src])]
-        if u is not None:
-            u[dst] = [x + mult * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(src, dst, mult):  # col dst += mult * col src
-        for row in a:
-            row[dst] += mult * row[src]
-        if vt is not None:
-            vt[dst] = [x + mult * y for x, y in zip(vt[dst], vt[src])]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        if u is not None:
-            u[i] = [-x for x in u[i]]
-
     t = 0
     n = min(r, c)
     while t < n:
@@ -136,31 +122,55 @@ def _eliminate(a: list[list[int]], cols: int,
                 x = row[j]
                 if x and (best is None or abs(x) < size):
                     best, size = (i, j), abs(x)
+                    if size == 1:
+                        break
+            if size == 1:
+                break
         if best is None:
             break
-        swap_rows(t, best[0])
-        swap_cols(t, best[1])
+        i, j = best
+        if i != t:
+            a[t], a[i] = a[i], a[t]
+            if u is not None:
+                u[t], u[i] = u[i], u[t]
+        if j != t:
+            _swap_cols(a, vt, t, j)
         # clear row and column t by gcd descent
         while True:
             dirty = False
+            piv = a[t]
             for i in range(t + 1, r):
-                if a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    add_row(t, i, -q)
-                    if a[i][t] != 0:  # remainder smaller than pivot: swap up
-                        swap_rows(t, i)
+                row = a[i]
+                if row[t]:
+                    q = row[t] // piv[t]
+                    row = a[i] = [x - q * y for x, y in zip(row, piv)]
+                    if u is not None:
+                        u[i] = [x - q * y for x, y in zip(u[i], u[t])]
+                    if row[t]:  # remainder smaller than pivot: swap up
+                        a[t], a[i] = row, piv
+                        piv = row
+                        if u is not None:
+                            u[t], u[i] = u[i], u[t]
                         dirty = True
+            clear = not dirty  # column t is zero below the pivot
             for j in range(t + 1, c):
-                if a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    add_col(t, j, -q)
-                    if a[t][j] != 0:
-                        swap_cols(t, j)
+                if piv[j]:
+                    q = piv[j] // piv[t]
+                    if clear:
+                        piv[j] -= q * piv[t]
+                    else:
+                        for row in a:
+                            row[j] -= q * row[t]
+                    if vt is not None:
+                        vt[j] = [x - q * y for x, y in zip(vt[j], vt[t])]
+                    if piv[j]:
+                        _swap_cols(a, vt, t, j)
+                        clear = False
                         dirty = True
             if not dirty:
                 break
         if a[t][t] < 0:
-            negate_row(t)
+            _negate_row(a, u, t)
         t += 1
 
     # enforce divisibility chain d_i | d_{i+1}
@@ -171,7 +181,7 @@ def _eliminate(a: list[list[int]], cols: int,
             di, dj = a[i][i], a[i + 1][i + 1]
             if di != 0 and dj % di != 0:
                 # fold d_{i+1} into position (i, i+1) and rediagonalize 2x2
-                add_col(i + 1, i, 1)  # col i += col i+1 : puts dj at (i+1,i)
+                _add_col(a, vt, i + 1, i, 1)  # col i += col i+1: dj at (i+1,i)
                 g = gcd(di, dj)
                 # Bezout: s*di + t*dj = g
                 s, tt = _bezout(di, dj)
@@ -180,15 +190,39 @@ def _eliminate(a: list[list[int]], cols: int,
                 if u is not None:
                     _combine_rows(u, i, i + 1, s, tt, di // g, dj // g)
                 # now a[i][i] = g; clear the off entries
-                q = a[i + 1][i] // g
-                add_row(i, i + 1, -q)
-                q = a[i][i + 1] // g
-                add_col(i, i + 1, -q)
+                _add_row(a, u, i, i + 1, -(a[i + 1][i] // g))
+                _add_col(a, vt, i, i + 1, -(a[i][i + 1] // g))
                 if a[i][i] < 0:
-                    negate_row(i)
+                    _negate_row(a, u, i)
                 if a[i + 1][i + 1] < 0:
-                    negate_row(i + 1)
+                    _negate_row(a, u, i + 1)
                 changed = True
+
+
+def _swap_cols(a, vt, i, j):
+    for row in a:
+        row[i], row[j] = row[j], row[i]
+    if vt is not None:
+        vt[i], vt[j] = vt[j], vt[i]
+
+
+def _add_row(a, u, src, dst, mult):  # row dst += mult * row src
+    a[dst] = [x + mult * y for x, y in zip(a[dst], a[src])]
+    if u is not None:
+        u[dst] = [x + mult * y for x, y in zip(u[dst], u[src])]
+
+
+def _add_col(a, vt, src, dst, mult):  # col dst += mult * col src
+    for row in a:
+        row[dst] += mult * row[src]
+    if vt is not None:
+        vt[dst] = [x + mult * y for x, y in zip(vt[dst], vt[src])]
+
+
+def _negate_row(a, u, i):
+    a[i] = [-x for x in a[i]]
+    if u is not None:
+        u[i] = [-x for x in u[i]]
 
 
 def _identity_rows(n: int) -> list[list[int]]:

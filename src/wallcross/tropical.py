@@ -9,7 +9,7 @@ lattice-index multiplicities of vertex splittings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd, prod
 from typing import Sequence
 
@@ -62,6 +62,9 @@ class TropicalType:
     vertices: tuple[Vertex, ...]
     edges: tuple[Edge, ...]
     legs: tuple[Leg, ...]
+    # (complex, cone) of the last solve, set by ``universal_cone``
+    _cone: tuple | None = field(default=None, init=False, repr=False,
+                                compare=False)
 
     def __post_init__(self):
         nv = len(self.vertices)
@@ -288,7 +291,15 @@ def _build_system(t: TropicalType, cx: ConeComplex):
 
 
 def universal_cone(t: TropicalType, cx: ConeComplex) -> UniversalCone:
-    """Solve the tropical-map constraints of a type exactly."""
+    """Solve the tropical-map constraints of a type exactly.
+
+    The cone is kept on the type, with the complex it was solved in, so a
+    type is solved once however often it is classified or glued; a call
+    with another complex (compared by identity) solves afresh.  Nothing is
+    kept for an unrealizable type, which raises on every call.
+    """
+    if t._cone is not None and t._cone[0] is cx:
+        return t._cone[1]
     chart, nvars, voff, eqs, ineqs = _build_system(t, cx)
     n = cx.n
     lattice = kernel_basis(IntegerMatrix.from_rows(eqs or [[0] * nvars]))
@@ -304,10 +315,12 @@ def universal_cone(t: TropicalType, cx: ConeComplex) -> UniversalCone:
         dim_out = linalg.rank(proj)
     else:
         dim_out = 0
-    return UniversalCone(chart=chart, nvars=nvars, vertex_offset=voff,
-                         equalities=tuple(tuple(r) for r in eqs),
-                         dim_type=len(lattice), dim_out=dim_out,
-                         lattice=tuple(lattice))
+    uc = UniversalCone(chart=chart, nvars=nvars, vertex_offset=voff,
+                       equalities=tuple(tuple(r) for r in eqs),
+                       dim_type=len(lattice), dim_out=dim_out,
+                       lattice=tuple(lattice))
+    object.__setattr__(t, "_cone", (cx, uc))
+    return uc
 
 
 # -- classification ----------------------------------------------------------

@@ -215,3 +215,20 @@ def test_splitting_multiplicity_builds_no_fraction(monkeypatch):
     # the guard sees the Fraction a rational solve builds
     assert linalg.cone_coords([(2, 0), (0, 1)], (1, 1)) == (Fraction(1, 2), 1)
     assert built
+
+
+@pytest.mark.parametrize("rows", [
+    [[3.5, Fraction(7, 2)]],
+    [[1, 2], [3, Fraction(4)]],
+    [[2.0]],
+    [["1"]],
+])
+def test_integer_matrix_rejects_a_non_integer_entry(rows):
+    """A float, a ``Fraction`` (even an integral one) or a string is an
+    error, where ``int`` would have truncated it silently."""
+    with pytest.raises(ValueError, match="non-integer matrix entry"):
+        IntegerMatrix.from_rows(rows)
+    with pytest.raises(ValueError, match="non-integer matrix entry"):
+        IntegerMatrix(len(rows), len(rows[0]),
+                      tuple(x for row in rows for x in row))
+

@@ -62,7 +62,7 @@ def fan_2d(num_rays, curve_rank=1, intersections=None, kinks=None, **kw):
 
 def test_one_dim_two_rays_valid():
     cx = build_complex(simple_divisors(2), [(0,), (1,)], curve_rank=1, n=1)
-    assert cx.maximal_cones == [(0,), (1,)]
+    assert cx.maximal_cones == ((0,), (1,))
     assert cx.codim1_cones() == []
 
 

@@ -173,12 +173,15 @@ def test_classify_takes_one_kernel(monkeypatch):
     """The universal cone's integer kernel is the only kernel: no
     Gauss–Jordan solve, and two Smith eliminations, one for the kernel that
     builds V alone and one for the out-leg cokernel that builds no
-    transform."""
+    transform.  The spy watches the first solve of a fresh type equal to
+    the one whose equalities it reads, since a solved type keeps its
+    cone."""
     from wallcross import lattice, linalg, tropical
 
-    t, cx = bent_line_type(), quadrant_complex()
-    uc = tropical.universal_cone(t, cx)
+    cx = quadrant_complex()
+    uc = tropical.universal_cone(bent_line_type(), cx)
     kernel_rows = [list(r) for r in uc.equalities] or [[0] * uc.nvars]
+    t = bent_line_type()
     eliminations, solves = [], []
     real_eliminate = lattice._eliminate
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
 from itertools import takewhile
 
 from . import linalg
@@ -68,6 +68,10 @@ class LocalInstance:
     (appended last) that crossing automorphisms never pair against; these
     appear when a higher-dimensional joint is localized and the directions
     along the joint become invariant.
+
+    Construction validates every ray (``_validate_ray``); ``_with_rays``
+    swaps in rays that already passed it.  The angular
+    order of the rays is computed on first use and kept on the instance.
     """
 
     trunc: Truncation
@@ -78,9 +82,24 @@ class LocalInstance:
         for ray in self.rays:
             _validate_ray(ray, self.n_exp)
 
+    def _with_rays(self, rays) -> "LocalInstance":
+        """This instance with ``rays``, each of which passed
+        ``_validate_ray`` for ``n_exp``, without checking them again."""
+        inst = object.__new__(LocalInstance)
+        object.__setattr__(inst, "trunc", self.trunc)
+        object.__setattr__(inst, "rays", tuple(rays))
+        object.__setattr__(inst, "invariant_rank", self.invariant_rank)
+        return inst
+
     @property
     def n_exp(self) -> int:
         return 2 + self.invariant_rank
+
+    @cached_property
+    def _ordered(self) -> tuple[LocalRay, ...]:
+        return tuple(sorted(
+            self.rays, key=cmp_to_key(lambda r1, r2: _angle_cmp(
+                r1.direction, r2.direction))))
 
     def to_json(self) -> dict:
         return {
@@ -149,11 +168,10 @@ def _angle_cmp(a, b) -> int:
     return -1 if cross > 0 else (1 if cross < 0 else 0)
 
 
-def ordered_rays(inst: LocalInstance) -> list[LocalRay]:
-    """Rays in angular crossing order."""
-    return sorted(inst.rays,
-                  key=cmp_to_key(lambda r1, r2: _angle_cmp(r1.direction,
-                                                           r2.direction)))
+def ordered_rays(inst: LocalInstance) -> tuple[LocalRay, ...]:
+    """Rays in angular crossing order, rays of one direction in the order
+    of ``inst.rays``; sorted once per instance."""
+    return inst._ordered
 
 
 def _normal(direction, n_exp: int):
@@ -165,7 +183,7 @@ def _normal(direction, n_exp: int):
 def path_ordered(inst: LocalInstance, g: RingElement, *,
                  cap: int | None = None) -> RingElement:
     """Apply the crossing automorphisms of one counterclockwise loop to
-    ``g``.
+    ``g``, in the order ``ordered_rays`` keeps on the instance.
 
     With a ``cap``, each crossing keeps only the terms of weight at most
     ``cap``; those are exact, as every class of a ray function is nilpotent
@@ -550,12 +568,19 @@ def check_structure(s: WallStructure, level: str = "all",
 
 # -- local scattering completion ---------------------------------------------
 
-def _merge_ray(rays: list[LocalRay], direction, factor: RingElement):
+def _merge_ray(rays: list[LocalRay], direction, factor: RingElement,
+               n_exp: int):
+    """Multiply ``factor`` into the ray of ``direction``, or append it as a
+    new ray; the ray made is checked by ``_validate_ray``."""
+    direction = tuple(direction)
     for i, r in enumerate(rays):
-        if r.direction == tuple(direction):
-            rays[i] = replace(r, function=r.function.mul(factor))
-            return
-    rays.append(LocalRay(direction=tuple(direction), function=factor))
+        if r.direction == direction:
+            rays[i] = ray = replace(r, function=r.function.mul(factor))
+            break
+    else:
+        ray = LocalRay(direction=direction, function=factor)
+        rays.append(ray)
+    _validate_ray(ray, n_exp)
 
 
 def _discrepancy(inst: LocalInstance, g: RingElement,
@@ -627,9 +652,17 @@ def complete_codim0(inst: LocalInstance,
     automorphism are never hard-coded.  The final check is
     ``identity_around`` through ``max_weight``: two more loops, capped
     there.
+
+    Each ray is validated once: the input's when ``inst`` was built, and
+    each emitted or merged ray by ``_merge_ray`` as it is made; the
+    instances of each weight and the result reuse those checked rays.  A
+    negative ``max_weight`` is a ``ValueError``: it would cap away the
+    rays' own terms, so no loop could pass.
     """
     if max_weight is None:
         max_weight = inst.trunc.max_weight()
+    if max_weight < 0:
+        raise ValueError(f"completion weight must be >= 0, got {max_weight}")
     if max_weight > inst.trunc.max_weight():
         raise NonConvergent(
             f"completion weight {max_weight} exceeds the truncation order "
@@ -637,7 +670,7 @@ def complete_codim0(inst: LocalInstance,
     trunc = inst.trunc
     rays = list(inst.rays)
     for w in range(1, max_weight + 1):
-        cur = replace(inst, rays=tuple(rays))
+        cur = inst._with_rays(rays)
         failing = _failing(cur, w)
         keys = sorted(failing, key=_order_key)
         # each term before the first one without a transverse part
@@ -659,8 +692,8 @@ def complete_codim0(inst: LocalInstance,
                 f"discrepancy t^{list(A)} z^{list(m)} has no "
                 "transverse direction to emit")
         for direction, factor in factors:
-            _merge_ray(rays, direction, factor)
-    done = replace(inst, rays=tuple(rays))
+            _merge_ray(rays, direction, factor, inst.n_exp)
+    done = inst._with_rays(rays)
     ok, witness = identity_around(done, max_weight=max_weight)
     if not ok:
         raise NonConvergent(f"loop still fails: {witness}")

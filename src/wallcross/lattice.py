@@ -9,7 +9,9 @@ point tracks only the transforms it reads: ``smith_normal_form`` both U
 and V, ``kernel_basis`` V, ``smith_row_transform`` U and
 ``invariant_factors`` (behind ``cokernel_order`` on a wide matrix or for
 its torsion) neither.  Every transform that is built is checked
-unimodular.  The elimination leaves out only arithmetic that cannot
+unimodular.  Each entry point keeps the diagonal it reaches on the
+matrix, so ``invariant_factors`` of a matrix already eliminated runs no
+elimination.  The elimination leaves out only arithmetic that cannot
 change a result (a pivot search past an entry of size 1, column steps on
 rows whose pivot-column entry is zero), so D, U and V do not depend on
 those shortcuts.  A square or tall matrix's full cokernel order needs no
@@ -18,7 +20,7 @@ Smith form: it is read from ``linalg.det`` or from the shape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd, prod
 from typing import Iterable, Sequence
 
@@ -34,6 +36,9 @@ class IntegerMatrix:
     rows: int
     cols: int
     entries: tuple[int, ...]  # row-major, length rows*cols
+    # invariant factors, kept by the first elimination of this matrix
+    _factors: tuple[int, ...] | None = field(default=None, init=False,
+                                             repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.entries) != self.rows * self.cols:
@@ -51,6 +56,7 @@ class IntegerMatrix:
         object.__setattr__(m, "cols", cols)
         object.__setattr__(m, "entries",
                            tuple(x for row in int_rows for x in row))
+        object.__setattr__(m, "_factors", None)
         return m
 
     @classmethod
@@ -242,17 +248,28 @@ def smith_normal_form(M: IntegerMatrix) -> SmithDecomposition:
     a, u, vt = M.to_rows(), _identity_rows(r), _identity_rows(c)
     _eliminate(a, c, u, vt)
     _check_unimodular(u, vt)   # det(V) = det(V^T)
+    _keep_factors(M, a)
     return SmithDecomposition(U=IntegerMatrix._make(r, r, u),
                               D=IntegerMatrix._make(r, c, a),
                               V=IntegerMatrix._make(c, c, zip(*vt)))
 
 
+def _keep_factors(M: IntegerMatrix, a: list[list[int]]) -> tuple[int, ...]:
+    """Keep the diagonal of ``a``, M brought to Smith form, on M."""
+    factors = tuple(a[i][i] for i in range(min(M.rows, M.cols)))
+    object.__setattr__(M, "_factors", factors)
+    return factors
+
+
 def invariant_factors(M: IntegerMatrix) -> tuple[int, ...]:
-    """Diagonal of the Smith form of M, from an elimination that builds
-    neither transform."""
+    """Diagonal of the Smith form of M: the one an earlier elimination of
+    M kept on it, else from an elimination that builds neither
+    transform."""
+    if M._factors is not None:
+        return M._factors
     a = M.to_rows()
     _eliminate(a, M.cols)
-    return tuple(a[i][i] for i in range(min(M.rows, M.cols)))
+    return _keep_factors(M, a)
 
 
 def smith_row_transform(M: IntegerMatrix) -> IntegerMatrix:
@@ -261,6 +278,7 @@ def smith_row_transform(M: IntegerMatrix) -> IntegerMatrix:
     a, u = M.to_rows(), _identity_rows(M.rows)
     _eliminate(a, M.cols, u=u)
     _check_unimodular(u)
+    _keep_factors(M, a)
     return IntegerMatrix._make(M.rows, M.rows, u)
 
 
@@ -317,5 +335,6 @@ def kernel_basis(M: IntegerMatrix) -> list[tuple[int, ...]]:
     a, vt = M.to_rows(), _identity_rows(M.cols)
     _eliminate(a, M.cols, vt=vt)
     _check_unimodular(vt)
+    _keep_factors(M, a)
     rank = sum(1 for i in range(min(M.rows, M.cols)) if a[i][i] != 0)
     return [tuple(col) for col in vt[rank:]]

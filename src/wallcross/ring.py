@@ -250,30 +250,44 @@ class RingElement:
         return _product_by_exponent(self, lambda _m: other)
 
     def pow_nonneg(self, k: int) -> "RingElement":
-        result = RingElement.one(self.cone, self.trunc, self.n)
-        base = self
-        while k:
-            if k & 1:
-                result = result.mul(base)
-            base = base.mul(base)
-            k >>= 1
-        return result
+        """``pow_int(k)`` for k >= 0; a negative k is a ``ValueError``."""
+        if k < 0:
+            raise ValueError(f"pow_nonneg needs an exponent >= 0, got {k}")
+        return self.pow_int(k)
 
     def pow_int(self, k: int) -> "RingElement":
         """Integer power; negative powers require a unipotent element.
-        Each power is computed once and kept on the (immutable) element."""
+
+        Each power is computed once (``_power``) and kept on the
+        (immutable) element, except f^1, which is the element itself: a
+        memo holding it would be a reference cycle, freed only by the
+        cyclic collector.  A missing f^k is one product of its neighbour
+        f^(k-1) (f^(k+1) for k < -1); the powers from f^(+-2) up to that
+        neighbour are made sure of first, in order, so that filling a
+        long chain never nests calls.
+        """
+        if k == 1:
+            return self
         if self._powers is None:
             self._powers = {}
         power = self._powers.get(k)
         if power is None:
-            if k >= 0:
-                power = self.pow_nonneg(k)
-            elif k == -1:
-                power = invert(self)
-            else:
-                power = self.pow_int(-1).pow_nonneg(-k)
-            self._powers[k] = power
+            step = 1 if k >= 0 else -1
+            for j in range(2 * step, k, step):
+                self.pow_int(j)
+            power = self._powers[k] = self._power(k)
         return power
+
+    def _power(self, k: int) -> "RingElement":
+        """f^k for k != 1: one for 0, ``invert`` for -1, else one product
+        with the kept neighbour toward f^1 (k > 1) or f^-1 (k < -1)."""
+        if k == 0:
+            return RingElement.one(self.cone, self.trunc, self.n)
+        if k == -1:
+            return invert(self)
+        if k > 1:
+            return self.pow_int(k - 1).mul(self)
+        return self.pow_int(k + 1).mul(self.pow_int(-1))
 
     def _check_compatible(self, other: "RingElement"):
         if self.cone != other.cone:

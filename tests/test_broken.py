@@ -495,19 +495,19 @@ def test_crossings_are_derived_once_per_complex(monkeypatch):
 
 def test_line_bends_compute_each_wall_power_once(monkeypatch):
     """Bends reuse the powers kept on the wall function: two theta
-    functions on one structure compute each (element, exponent) power
-    once."""
+    functions on one structure, whose lines cross the wall with pairings
+    2 and 3, compute each (element, exponent) power once."""
     powers, keep = Counter(), []
-    pow_nonneg = RingElement.pow_nonneg
+    power = RingElement._power
 
-    def counting_pow(self, k):
+    def counting_power(self, k):
         keep.append(self)
         powers[(id(self), k)] += 1
-        return pow_nonneg(self, k)
+        return power(self, k)
 
     s = quadrant(bound=3)
-    monkeypatch.setattr(RingElement, "pow_nonneg", counting_pow)
-    for p in [(1, 0), (2, 1)]:
+    monkeypatch.setattr(RingElement, "_power", counting_power)
+    for p in [(3, 1), (4, 1)]:
         theta(s, p, pt(3, 7))
     assert powers and max(powers.values()) == 1
 

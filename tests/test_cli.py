@@ -694,3 +694,20 @@ def test_env_seed_overrides(bundle, capsys, monkeypatch):
                        "-w", bundle["w"], "--p", "1,0", "--x", "1,2")
     assert code == 0
     assert json.loads(out)["seed"] == 7
+
+
+@pytest.mark.parametrize("weight, code", [("-1", 2), ("0", 0)])
+def test_scatter_rejects_a_negative_weight(tmp_path, capsys, weight, code):
+    """A negative cap would drop the rays' own terms, so no loop could
+    pass: it is a usage error, not a failing loop; weight 0 adds no ray."""
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(two_lines().to_json()))
+    got, out, err = run(capsys, "scatter", "--instance", str(path),
+                        "--max-weight", weight)
+    assert got == code
+    if code:
+        diagnostic = json.loads(err)
+        assert diagnostic["error"] == "ValueError"
+        assert "must be >= 0" in diagnostic["message"]
+    else:
+        assert json.loads(out)["added_rays"] == 0

@@ -187,7 +187,38 @@ def test_full_order_of_square_and_tall_matrices_takes_no_smith_form(
         wide = m.rows < m.cols
         assert len(eliminations) - before == wide
         cokernel_order(m, torsion_only=True)
-        assert len(eliminations) - before == wide + 1
+        # a wide matrix's factors were kept by the first call
+        assert len(eliminations) - before == 1
+
+
+def test_an_eliminated_matrix_keeps_its_invariant_factors(monkeypatch):
+    """After any elimination of a matrix, its invariant factors and its
+    cokernel orders take none; computed matrices start with none kept,
+    and the kept factors change neither equality nor hash."""
+    eliminations = []
+    real_eliminate = lattice._eliminate
+
+    def eliminate(a, cols, u=None, vt=None):
+        eliminations.append(len(a))
+        return real_eliminate(a, cols, u, vt)
+
+    monkeypatch.setattr(lattice, "_eliminate", eliminate)
+    entry_points = (lattice.smith_normal_form, lattice.kernel_basis,
+                    lattice.smith_row_transform, lattice.invariant_factors)
+    for rows in seeded_shapes().values():
+        for first in entry_points:
+            m = IntegerMatrix.from_rows(rows)
+            fresh = IntegerMatrix.from_rows(rows)
+            first(m)
+            before = len(eliminations)
+            factors = lattice.invariant_factors(m)
+            cokernel_order(m)
+            cokernel_order(m, torsion_only=True)
+            assert len(eliminations) == before
+            assert list(factors) == test_lattice.oracle_invariant_factors(rows)
+            assert m == fresh and hash(m) == hash(fresh)
+        snf = lattice.smith_normal_form(m)
+        assert all(x._factors is None for x in (snf.U, snf.D, snf.V))
 
 
 def test_splitting_multiplicity_builds_no_fraction(monkeypatch):

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import gc
+import os
+import subprocess
+import sys
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -379,3 +384,117 @@ def test_property_log_exp_round_trips(g):
     assert log_unipotent(exp_truncated(g)) == g
     f = RingElement.one(CONE, T3, 2).add(g)
     assert exp_truncated(log_unipotent(f)) == f
+
+
+# -- powers ------------------------------------------------------------------
+
+def power_cases():
+    """(f, exponents) under a degree and a generator truncation, with
+    Fraction coefficients: a unipotent f for every exponent in -4..5, and
+    a non-unipotent f for 0..5."""
+    cases = []
+    for trunc in INVARIANT_TRUNCS:
+        u = build([((1, 0), (1, 0), Fraction(3, 2)),
+                   ((0, 1), (-1, 1), Fraction(-2, 3)),
+                   ((1, 1), (0, 2), 5)], trunc)
+        cases.append((RingElement.one(CONE, trunc, 2).add(u), range(-4, 6)))
+        cases.append((build([((0, 0), (0, 0), Fraction(1, 3)),
+                             ((0, 0), (1, -1), 2),
+                             ((1, 0), (0, 1), Fraction(-5, 2))], trunc),
+                      range(0, 6)))
+    return cases
+
+
+def oracle_chain(f: RingElement, k: int) -> dict:
+    """The terms of f^k for k >= 0, as k factors multiplied by oracle_mul."""
+    power = RingElement.one(f.cone, f.trunc, f.n)
+    for _ in range(k):
+        power = RingElement(oracle_mul(power, f), f.cone, f.trunc, f.n)
+    return power.terms
+
+
+@pytest.mark.parametrize("f, exponents", power_cases(),
+                         ids=["degree", "degree-non-unipotent", "generators",
+                              "generators-non-unipotent"])
+def test_pow_int_is_a_chain_of_products(f, exponents):
+    one_terms = RingElement.one(f.cone, f.trunc, f.n).terms
+    for k in exponents:
+        if k >= 0:
+            assert f.pow_int(k).terms == oracle_chain(f, k), k
+            assert f.pow_nonneg(k).terms == oracle_chain(f, k), k
+        else:
+            inverse = f.pow_int(-1)
+            assert oracle_mul(inverse, f) == one_terms
+            assert f.pow_int(k).terms == oracle_chain(inverse, -k), k
+        assert in_stored_form(f.pow_int(k))
+
+
+def test_filling_powers_takes_one_product_each(monkeypatch):
+    """Powers 1..K of a fresh element take K - 1 products, whether asked
+    for in order or from the top; f^1 is the element itself."""
+    products = []
+    mul = RingElement.mul
+
+    def counting_mul(self, other):
+        products.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(RingElement, "mul", counting_mul)
+    K = 6
+    for order in (range(1, K + 1), range(K, 0, -1)):
+        f = one().add(mono((1,), (1, -1), Fraction(3, 2)))
+        products.clear()
+        for k in order:
+            f.pow_int(k)
+        assert len(products) == K - 1
+        assert f.pow_int(1) is f
+
+
+def test_high_power_nests_no_calls():
+    """f^(+-3000) of f = 1 + c t z^(1,0) at bound 3 is the binomial series
+    sum over j <= 3 of binom(k, j) c^j t^j z^(j,0), filled without
+    exceeding the recursion limit."""
+    c = Fraction(-2, 7)
+    f = one().add(mono((1,), (1, 0), c))
+    for k in (3000, -3000):
+        expected = {}
+        binom = Fraction(1)
+        for j in range(4):
+            expected[((j,), (j, 0))] = binom * c ** j
+            binom = binom * (k - j) / (j + 1)
+        assert f.pow_int(k).terms == expected
+
+
+def test_dropped_element_is_freed_by_reference_counting():
+    """The kept powers make no reference cycle: with the cyclic collector
+    off, an element is freed as soon as its last reference goes."""
+    class Referable(RingElement):
+        __slots__ = ("__weakref__",)
+
+    f = Referable(one().add(mono((1,), (1, -1), 2)).terms, CONE, T3, 2)
+    for k in range(-3, 6):
+        f.pow_int(k)
+    ref = weakref.ref(f)
+    gc.disable()
+    try:
+        del f
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_pow_nonneg_rejects_a_negative_exponent():
+    """Run in a child, so that a hang fails within the budget."""
+    code = ("from wallcross.ring import RingElement, Truncation\n"
+            "t = Truncation.degree(1, 3)\n"
+            "f = RingElement.one('c', t, 2)\n"
+            "try:\n"
+            "    f.pow_nonneg(-1)\n"
+            "except ValueError as exc:\n"
+            "    print('ValueError', exc)\n")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("ValueError"), proc.stdout

@@ -16,6 +16,7 @@ compared with the first failing term of the four-generator oracle.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from math import factorial
@@ -24,7 +25,8 @@ import pytest
 
 from wallcross import consistency
 from wallcross.consistency import (LOCAL_CHART, LocalRay, complete_codim0,
-                                   identity_around)
+                                   identity_around, ordered_rays)
+from wallcross.errors import InadmissibleWallDirection
 from wallcross.ring import RingElement
 from wallcross.walls import primitive
 
@@ -177,3 +179,72 @@ def test_two_generator_witness_is_the_first_failing_oracle_term(inst):
             (expected is None, expected), cap
         if cap is None:
             assert expected is not None
+
+
+def benchmark_shapes():
+    rng = random.Random(21)
+    return [two_lines(l1, l2, shared, rng.randint(10, 99),
+                      -rng.randint(10, 99), w)
+            for l1, l2, w in SCATTER_CLASSES["full"]
+            for shared in (True, False)]
+
+
+def test_completion_validates_each_ray_once(monkeypatch):
+    """Input rays are validated when the instance is built and each
+    emitted or merged ray when ``_merge_ray`` makes it; no ray is checked
+    twice, and every ray of the result was checked."""
+    checked, keep = Counter(), []
+    validate = consistency._validate_ray
+
+    def counting_validate(ray, n_exp):
+        keep.append(ray)
+        checked[id(ray)] += 1
+        return validate(ray, n_exp)
+
+    monkeypatch.setattr(consistency, "_validate_ray", counting_validate)
+    for inst in benchmark_shapes():
+        done = complete_codim0(inst)
+        assert len(done.rays) > len(inst.rays)
+        assert all(checked[id(r)] == 1 for r in done.rays)
+    assert max(checked.values()) == 1
+
+
+def test_each_instance_sorts_its_rays_once(monkeypatch):
+    """Both loops of a weight, and both of the final check, cross the rays
+    in the order sorted once for their instance."""
+    sorts, loops = [], []
+    cmp_to_key, path_ordered = consistency.cmp_to_key, consistency.path_ordered
+
+    def counting_cmp_to_key(cmp):
+        sorts.append(cmp)
+        return cmp_to_key(cmp)
+
+    def counting_loop(inst, *args, **kwargs):
+        loops.append(inst)
+        assert ordered_rays(inst) is ordered_rays(inst)
+        return path_ordered(inst, *args, **kwargs)
+
+    monkeypatch.setattr(consistency, "cmp_to_key", counting_cmp_to_key)
+    monkeypatch.setattr(consistency, "path_ordered", counting_loop)
+    for inst in benchmark_shapes():
+        sorts.clear()
+        loops.clear()
+        w = inst.trunc.max_weight()
+        complete_codim0(inst)
+        assert len(loops) == 2 * (w + 1)
+        assert len(sorts) == len({id(i) for i in loops}) == w + 1
+
+
+def test_an_emitted_ray_off_its_direction_raises(monkeypatch):
+    """An emitted ray whose exponents do not run along its direction is
+    rejected as it is made, though the instances built from the rays do
+    not check them again."""
+    merge = consistency._merge_ray
+
+    def turned_merge(rays, direction, *rest):
+        return merge(rays, (-direction[1], direction[0]), *rest)
+
+    monkeypatch.setattr(consistency, "_merge_ray", turned_merge)
+    inst = two_lines(1, 1, True, 1, 1, 2)
+    with pytest.raises(InadmissibleWallDirection, match="not parallel"):
+        complete_codim0(inst)
